@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .detect import detect_pipeline
-from .field import ScaleConfig, multiscale_field, scale_grid
+from .field import ScaleConfig, scale_grid
 from .filters import builtin_wstar, load_filter
 from .simulate import DetectorSpec, PlsScenario, gen_series, monte_carlo
 from .threshold import critical_value, tail_constants
@@ -148,13 +148,13 @@ def cmd_detect(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
     cfg = info["config"]
+    field_ = info["field"]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
     (out / f"{stem}_result.json").write_text(res.to_json(indent=1))
 
-    field_ = multiscale_field(y, cfg, filt, threads=threads)
     t = field_.times()
     marks = np.zeros(len(y), dtype=int)
     for j in res.jumps_raw:

@@ -1,35 +1,38 @@
-"""Linear-time filtered series via rolling polynomial sums.
+"""Filtered series through one batched FFT filter bank.
 
 ``H(j/n, s) = (ns)^{-1/2} sum_i y_i W((i/n - j/n)/s)`` restricted to the
 integer grid reduces, by oddness of W, to
 
     H[j] * sqrt(ns) = sum_{d=1}^{h} (y[j+d] - y[j-d]) * W(d / (ns)),
 
-with window radius ``h = floor(ns)``.  Because W is polynomial on [0, 1],
-each one-sided sum is a linear combination of windowed power sums
-``sum y_i ((i - ref)/ns)^m``, which prefix sums deliver in O(1) per output
-after a binomial re-centering.  Work is done in blocks of ``h`` outputs
-with block-local coordinates so every power-sum argument stays in [-1, 1];
-blocks are computed independently, so rounding cannot accumulate across
-the series.  Total cost is O(n * degree) per scale.
+with window radius ``h = floor(ns)``: a cross-correlation of the series
+with the kernel ``k[d] = W(d/ns) / sqrt(ns)``, |d| <= h.  The bank
+transforms each series once (Cooley & Tukey 1965), zero-padded to a fast
+length of at least ``n + h_max`` so that no output row wraps around, and
+gives the response at each scale as the inverse transform of the series
+spectrum times the conjugate kernel spectrum.  Kernel spectra are built
+from ``filt.eval_many`` and cached per (n, FFT length, scale, filter), so
+any filter with vectorized evaluation works.  Cost is O(n log n) per
+scale, against O(n) for rolling polynomial sums, which were nonetheless
+measured slower at every n up to 100 000.  A moving-sum (MOSUM)
+statistic is the box-kernel case of the same filtering.
+
+FFT round-off is absolute, about 1e-14 * max|y| per output: agreement
+with the direct sum is ~1e-13 relative for standardized inputs, and a
+large offset costs accuracy in proportion.
 
 ``brute_filtered_series`` evaluates the defining sum directly and is the
-oracle the fast path is tested against.
-
-Accuracy note: the windowed power sums accumulate rounding proportional to
-the input magnitude, so when 1e6-scale inputs cancel to O(1) outputs the
-relative error can reach ~1e-7.  Every consumer in this package is
-invariant to input scale (the statistic self-normalizes), so this only
-matters for raw filtering of extreme-amplitude data; standardize first in
-that case.
+oracle the bank is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = ["FilteredSeries", "fast_filtered_series", "brute_filtered_series"]
 
@@ -52,6 +55,18 @@ class FilteredSeries:
         return len(self.values)
 
 
+def _window(n: int, s: float) -> int:
+    """Window radius floor(n * s), checked to give a resolvable kernel."""
+    if not (0.0 < s < 1.0):
+        raise ValueError("scale must lie in (0, 1)")
+    h = int(math.floor(n * s))
+    if h < 2:
+        raise ValueError("scale too small")
+    if h > n // 2:
+        raise ValueError("scale too large")
+    return h
+
+
 def _check_input(y, s):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -60,14 +75,7 @@ def _check_input(y, s):
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValueError(f"non-finite input at index {bad[0]}")
-    if not (0.0 < s < 1.0):
-        raise ValueError("scale must lie in (0, 1)")
-    h = int(math.floor(n * s))
-    if h < 2:
-        raise ValueError("scale too small")
-    if h > n // 2:
-        raise ValueError("scale too large")
-    return y, n, h
+    return y, n, _window(n, s)
 
 
 def _valid_mask(n, h):
@@ -76,77 +84,45 @@ def _valid_mask(n, h):
     return valid
 
 
-def _onesided_fast(ymat: np.ndarray, h: int, ns: float, coeffs, block_len=None) -> np.ndarray:
-    """R[., j] = sum_{d=1}^{h} ymat[., j+d] * W(d/ns) for every j.
-
-    ``coeffs`` are the monomial coefficients of W on [0, 1] for powers
-    1..degree.  ``ymat`` is (m, n); zero padding on the right is applied
-    internally.  ``block_len`` trades block count against the range of the
-    re-centered coordinates (default ``h`` keeps them within [-1, 1]).
-    """
-    m, n = ymat.shape
-    deg = len(coeffs)
-    cfull = np.concatenate([[0.0], np.asarray(coeffs, dtype=float)])
-    binom = [[math.comb(k, j) for j in range(k + 1)] for k in range(deg + 1)]
-    yp = np.concatenate([ymat, np.zeros((m, h))], axis=1)
-    out = np.empty((m, n))
-    step = h if block_len is None else int(block_len)
-    for b in range(0, n, step):
-        e = min(b + step, n)
-        ref = b + (e - b + h) // 2
-        i0, i1 = b + 1, e - 1 + h            # columns of yp needed
-        x = (np.arange(i0, i1 + 1) - ref) / ns
-        seg = yp[:, i0 : i1 + 1]
-        u = (np.arange(b, e) - ref) / ns
-        # A_m(u) = sum_{k>=m} c_k C(k,m) (-u)^(k-m); then
-        # R[j] = sum_m A_m(u_j) * S_m[j] with S_m the windowed power sums.
-        acc = np.zeros((m, e - b))
-        xm = np.ones_like(x)
-        for p in range(deg + 1):
-            P = np.concatenate(
-                [np.zeros((m, 1)), np.cumsum(seg * xm, axis=1)], axis=1
-            )
-            sm = P[:, (np.arange(b, e) + h) - i0 + 1] - P[:, np.arange(b, e) - i0 + 1]
-            apoly = np.zeros(deg - p + 1)
-            for k in range(p, deg + 1):
-                apoly[k - p] = cfull[k] * binom[k][p] * (-1.0) ** (k - p)
-            au = np.zeros_like(u)
-            for c in apoly[::-1]:
-                au = au * u + c
-            acc += au * sm
-            xm = xm * x
-        out[:, b:e] = acc
-    return out
-
-
-def _filter_matrix(ymat: np.ndarray, s: float, filt, block_factor: int = 1) -> np.ndarray:
-    """H values, shape (m, n), via the fast path; batched over rows.
-
-    ``block_factor > 1`` lowers the per-block overhead at a bounded cost in
-    rounding (used by the bulk simulation paths, where 1e-7 accuracy is
-    ample); the default keeps the tightest error bound.
-    """
-    m, n = ymat.shape
-    h = int(math.floor(n * s))
+@lru_cache(maxsize=256)
+def _kernel_spectrum(n: int, length: int, s: float, filt) -> np.ndarray:
+    """conj(rfft(k)) of the odd kernel at scale ``s``, laid out cyclically."""
+    h = _window(n, s)
     ns = n * s
-    coeffs = getattr(filt, "coeffs", None)
-    if coeffs is None:
-        raise TypeError("fast path needs a polynomial filter (monomial coeffs)")
-    bl = h * max(1, int(block_factor))
-    right = _onesided_fast(ymat, h, ns, coeffs, block_len=bl)
-    left = _onesided_fast(ymat[:, ::-1], h, ns, coeffs, block_len=bl)[:, ::-1]
-    return (right - left) / math.sqrt(ns)
+    w = filt.eval_many(np.arange(1, h + 1) / ns) / math.sqrt(ns)
+    k = np.zeros(length)
+    k[1 : h + 1] = w
+    k[length - h :] = -w[::-1]
+    spec = np.conj(rfft(k))
+    spec.flags.writeable = False
+    return spec
+
+
+def filter_bank(ymat: np.ndarray, scales, filt, workers: int = 1):
+    """Yield the (m, n) response of the rows of ``ymat`` at each scale in turn.
+
+    Each row is transformed once for all ``scales``; responses are produced
+    lazily, so a caller that reduces over scales holds one at a time.
+    ``workers`` is the FFT thread count and does not change the output.
+    """
+    n = ymat.shape[1]
+    scales = [float(s) for s in scales]
+    length = next_fast_len(n + max(_window(n, s) for s in scales), real=True)
+    spec = rfft(ymat, length, axis=1, workers=workers)
+    for s in scales:
+        kernel = _kernel_spectrum(n, length, s, filt)
+        yield irfft(spec * kernel, length, axis=1, workers=workers)[:, :n]
 
 
 def fast_filtered_series(y, s: float, filt) -> FilteredSeries:
-    """Filter response at scale ``s`` in O(n) time."""
+    """Filter response at scale ``s``: the single-scale view of the bank."""
     y, n, h = _check_input(y, s)
-    vals = _filter_matrix(y[None, :], s, filt)[0]
-    return FilteredSeries(scale=float(s), values=vals, valid=_valid_mask(n, h), window=h)
+    (vals,) = filter_bank(y[None, :], [s], filt)
+    return FilteredSeries(scale=float(s), values=vals[0], valid=_valid_mask(n, h), window=h)
 
 
 def brute_filtered_series(y, s: float, filt) -> FilteredSeries:
-    """Direct evaluation of the defining sum (oracle for the fast path)."""
+    """Direct evaluation of the defining sum (oracle for the filter bank)."""
     y, n, h = _check_input(y, s)
     ns = n * s
     d = np.arange(1, h + 1)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import _filter_matrix, fast_filtered_series
+from .convolve import filter_bank
 
 __all__ = ["ScaleConfig", "scale_grid", "xi_denominator", "MultiscaleField", "multiscale_field"]
 
@@ -77,13 +76,12 @@ def _band_mean_sq(hvals: np.ndarray, a: int, b: int, lo: int, hi: int) -> np.nda
     return total / count
 
 
-def _xi_matrix(ymat: np.ndarray, cfg: ScaleConfig, filt, block_factor: int = 1) -> np.ndarray:
-    n = ymat.shape[1]
-    cfg.validate_n(n)
-    hstar = _filter_matrix(ymat, cfg.s_star, filt, block_factor=block_factor)
-    a = int(math.ceil(n * cfg.s_star))
-    b = int(math.floor(n * cfg.s_upper))
-    hw = int(math.floor(n * cfg.s_star))
+def _xi_band(hstar: np.ndarray, s_star: float, s_upper: float) -> np.ndarray:
+    """Banded average of the squared s_star responses (rows of ``hstar``)."""
+    n = hstar.shape[1]
+    a = int(math.ceil(n * s_star))
+    b = int(math.floor(n * s_upper))
+    hw = int(math.floor(n * s_star))
     return _band_mean_sq(hstar, a, b, lo=hw, hi=n - hw)
 
 
@@ -97,7 +95,7 @@ def _moving_average(x: np.ndarray, half: int) -> np.ndarray:
     return (Q[..., hi] - Q[..., lo]) / (hi - lo)
 
 
-def _xi_smoothed(ymat: np.ndarray, cfg: ScaleConfig, filt, block_factor: int = 1) -> np.ndarray:
+def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     """Denominator series used by the detector's statistic.
 
     The banded average Xi has few effective degrees of freedom (its terms
@@ -107,9 +105,23 @@ def _xi_smoothed(ymat: np.ndarray, cfg: ScaleConfig, filt, block_factor: int = 1
     suppresses that sampling noise while still tracking the local noise
     level on the scale the band already pools over.
     """
-    raw = _xi_matrix(ymat, cfg, filt, block_factor=block_factor)
-    half = max(1, int(math.floor(ymat.shape[1] * cfg.s_upper * _XI_SMOOTH_FRACTION)))
+    raw = _xi_band(hstar, cfg.s_star, cfg.s_upper)
+    half = max(1, int(math.floor(hstar.shape[1] * cfg.s_upper * _XI_SMOOTH_FRACTION)))
     return _moving_average(raw, half)
+
+
+def _grid_responses(ymat: np.ndarray, cfg: ScaleConfig, filt, workers: int = 1):
+    """Scale grid, smoothed denominator and the lazy grid responses of ``ymat``.
+
+    One filter bank serves the denominator scale and every grid scale, so
+    each row is transformed once.
+    """
+    n = ymat.shape[1]
+    cfg.validate_n(n)
+    grid = scale_grid(n, cfg)
+    bank = filter_bank(ymat, [cfg.s_star, *grid], filt, workers=workers)
+    xi = _xi_smoothed(next(bank), cfg)
+    return grid, xi, bank
 
 
 def xi_denominator(y, cfg: ScaleConfig, filt) -> np.ndarray:
@@ -119,27 +131,9 @@ def xi_denominator(y, cfg: ScaleConfig, filt) -> np.ndarray:
     s_star <= |i/n - j/n| <= s_upper, truncated to existing indices.
     """
     y = np.asarray(y, dtype=float)
-    return _xi_matrix(y[None, :], cfg, filt)[0]
-
-
-def xi_for_star(y, s_star: float, s_upper: float, filt) -> np.ndarray:
-    """Xi series for a candidate denominator scale.
-
-    Same computation as :func:`xi_denominator` but without requiring a full
-    ScaleConfig; the candidate sweep in the tuning module probes scales up
-    to and including s_lower.
-    """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if not (0 < s_star < s_upper <= 0.5):
-        raise ValueError("need 0 < s_star < s_upper <= 1/2")
-    if n * s_star < 2:
-        raise ValueError("n * s_star < 2")
-    hstar = _filter_matrix(y[None, :], s_star, filt)
-    a = int(math.ceil(n * s_star))
-    b = int(math.floor(n * s_upper))
-    hw = int(math.floor(n * s_star))
-    return _band_mean_sq(hstar, a, b, lo=hw, hi=n - hw)[0]
+    cfg.validate_n(len(y))
+    (hstar,) = filter_bank(y[None, :], [cfg.s_star], filt)
+    return _xi_band(hstar, cfg.s_star, cfg.s_upper)[0]
 
 
 @dataclass(frozen=True)
@@ -172,24 +166,17 @@ class MultiscaleField:
 
 
 def multiscale_field(y, cfg: ScaleConfig, filt, threads: int = 1) -> MultiscaleField:
-    """Build the full multiscale statistic for one series."""
+    """Build the full multiscale statistic for one series.
+
+    ``threads`` is the FFT worker count; the output does not depend on it.
+    """
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n < 50:
         raise ValueError("series too short (n >= 50 required)")
-    cfg.validate_n(n)
-    grid = scale_grid(n, cfg)
-
-    def row(s):
-        return fast_filtered_series(y, s, filt).values
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, grid))
-    else:
-        rows = [row(s) for s in grid]
-    h = np.vstack(rows)
-    xi = _xi_smoothed(y[None, :], cfg, filt)[0]
+    grid, xi, bank = _grid_responses(y[None, :], cfg, filt, workers=threads)
+    h = np.vstack([r[0] for r in bank])
+    xi = xi[0]
 
     b = int(math.floor(n * cfg.s_upper))
     valid = np.zeros(n, dtype=bool)
@@ -205,21 +192,19 @@ def multiscale_field(y, cfg: ScaleConfig, filt, threads: int = 1) -> MultiscaleF
     )
 
 
-def _max_g_batch(ymat: np.ndarray, cfg: ScaleConfig, filt, block_factor: int = 1):
+def _max_g_batch(ymat: np.ndarray, cfg: ScaleConfig, filt, workers: int = 1):
     """Null maxima per row of ``ymat``, matching multiscale_field's conventions.
 
     Returns (selfnorm_core, fixed_core, fixed_full): the self-normalized and
     deterministic-denominator maxima over the valid core [s_upper, 1-s_upper],
-    plus the deterministic maximum over every time point.
+    plus the deterministic maximum over every time point.  Scales are
+    reduced as they come out of the bank, so memory stays O(rows x n).
     """
     m, n = ymat.shape
-    grid = scale_grid(n, cfg)
+    _, xi, bank = _grid_responses(ymat, cfg, filt, workers=workers)
     hmax = np.zeros((m, n))
-    for s in grid:
-        np.maximum(
-            hmax, np.abs(_filter_matrix(ymat, s, filt, block_factor=block_factor)), out=hmax
-        )
-    xi = _xi_smoothed(ymat, cfg, filt, block_factor=block_factor)
+    for hs in bank:
+        np.maximum(hmax, np.abs(hs, out=hs), out=hmax)
     b = int(math.floor(n * cfg.s_upper))
     core = slice(b, n - b)
     root_u11 = math.sqrt(filt.moments().u11)

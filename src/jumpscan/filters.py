@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, betaln
@@ -165,7 +166,9 @@ class JumpPassFilter:
         xu = [Fraction(0)] * u + [Fraction(1)]
         return float(_polyint01(_polymul(xu, p)))
 
+    @lru_cache(maxsize=64)
     def moments(self) -> FilterMoments:
+        """Exact moment constants; cached, as the filter is immutable."""
         p = _fr((0,) + self.coeffs)
         f0 = _polyint01(p)
         half_u = _polyint01(_polymul(p, p))
@@ -426,7 +429,9 @@ class BetaJumpFilter:
         )
         return a_part - d_part
 
+    @lru_cache(maxsize=64)
     def moments(self) -> FilterMoments:
+        """Moment constants from beta integrals; cached, as the filter is immutable."""
         from numpy.polynomial import polynomial as P
 
         q = float(self.q)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .field import ScaleConfig, _max_g_batch
-from .util import rng_for, thread_chunks
+from .util import rng_for
 
 __all__ = [
     "TailConstants",
@@ -115,18 +115,16 @@ def _gauss_max_stats(n, cfg, filt, B, seed, threads=1):
     """Null maxima from B Gaussian multiplier series.
 
     Returns (selfnorm_max, fixed_max, fullrange_fixed_max): the first two
-    restricted to the valid core, the last over every time point.
+    restricted to the valid core, the last over every time point.  Rows are
+    simulated in chunks of 128 to bound memory; ``threads`` is the FFT
+    worker count and does not change the result.
     """
-
-    def run_chunk(indices):
-        ymat = np.vstack([rng_for(seed, r).standard_normal(n) for r in indices])
-        return _max_g_batch(ymat, cfg, filt, block_factor=4)
-
-    chunks = thread_chunks(list(range(B)), run_chunk, threads=threads, chunk=128)
-    sn = np.concatenate([c[0] for c in chunks])
-    fx = np.concatenate([c[1] for c in chunks])
-    full = np.concatenate([c[2] for c in chunks])
-    return sn, fx, full
+    chunks = []
+    for start in range(0, B, 128):
+        rows = range(start, min(start + 128, B))
+        ymat = np.vstack([rng_for(seed, r).standard_normal(n) for r in rows])
+        chunks.append(_max_g_batch(ymat, cfg, filt, workers=threads))
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 def bootstrap_cv(

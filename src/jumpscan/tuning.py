@@ -19,7 +19,8 @@ from scipy.ndimage import median_filter
 from scipy.stats import norm
 
 from .detect import detect_pipeline
-from .field import MultiscaleField, ScaleConfig, multiscale_field, xi_for_star
+from .convolve import filter_bank
+from .field import MultiscaleField, ScaleConfig, _xi_band, multiscale_field
 from .threshold import TailConstants, critical_value, fs_correction, tail_constants
 
 __all__ = [
@@ -87,10 +88,10 @@ def select_s_star(
         cands = cands[keep]
     if len(cands) < 2 * k + 1:
         raise ValueError("too few viable candidates after dropping small scales")
-    roots = []
-    for s in cands:
-        roots.append(np.sqrt(xi_for_star(y, float(s), s_upper, filt)))
-    roots = np.vstack(roots)
+    if not s_lower < s_upper <= 0.5:
+        raise ValueError("need s_lower < s_upper <= 1/2")
+    bank = filter_bank(y[None, :], cands, filt)
+    roots = np.vstack([np.sqrt(_xi_band(hs, s, s_upper)[0]) for s, hs in zip(cands, bank)])
     b = int(math.floor(n * s_upper))
     core = roots[:, b : n - b]
     scores = []
@@ -272,7 +273,8 @@ def auto_detect(
     Missing scales come from the minimum-volatility selections.  With
     ``alpha='auto'`` the level is chosen by :func:`select_alpha` and, when
     a first pass finds jumps, refreshed once with the detected count and
-    estimated minimum jump size before the final pass.
+    estimated minimum jump size before the final pass.  The field is built
+    once; every pass reuses it and ``info["field"]`` returns it.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -285,9 +287,13 @@ def auto_detect(
         info["scale_report"] = pair
         info["s_star_report"] = star
     info["config"] = cfg
+    field_ = multiscale_field(y, cfg, filt, threads=threads)
+    info["field"] = field_
 
     if alpha != "auto":
-        res = detect_pipeline(y, cfg, filt, alpha=float(alpha), threads=threads, **detect_kw)
+        res = detect_pipeline(
+            y, cfg, filt, alpha=float(alpha), threads=threads, field_=field_, **detect_kw
+        )
         info["alpha"] = float(alpha)
         return res, info
 
@@ -298,7 +304,6 @@ def auto_detect(
         and not str(detect_kw.get("threshold_mode", "analytic")).startswith("fixed")
         else 1.0
     )
-    field_ = multiscale_field(y, cfg, filt, threads=threads)
     sigma = sigma_sup_estimate(field_)
     a1 = select_alpha(n, cfg.s_upper, sigma, tc, filt, correction=corr)
     res = detect_pipeline(y, cfg, filt, alpha=a1, threads=threads, field_=field_, **detect_kw)

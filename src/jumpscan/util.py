@@ -1,12 +1,10 @@
-"""Small shared helpers: seeded RNG streams and a thread-pool mapper."""
+"""Small shared helpers: seeded RNG streams."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-__all__ = ["rng_for", "thread_map", "thread_chunks"]
+__all__ = ["rng_for"]
 
 
 def rng_for(seed, *stream) -> np.random.Generator:
@@ -16,22 +14,3 @@ def rng_for(seed, *stream) -> np.random.Generator:
     statistically independent; no global state is touched.
     """
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream)))
-
-
-def thread_map(fn, items, threads: int = 1):
-    """Map ``fn`` over ``items``, optionally on a thread pool.
-
-    Output order matches input order regardless of scheduling, so results
-    are identical for any thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def thread_chunks(items, chunk_fn, threads: int = 1, chunk: int = 128):
-    """Apply ``chunk_fn`` to consecutive slices of ``items`` of size ``chunk``."""
-    batches = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-    return thread_map(chunk_fn, batches, threads=threads)

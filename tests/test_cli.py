@@ -3,6 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import jumpscan.cli
+import jumpscan.detect
+import jumpscan.field
+import jumpscan.tuning
 from jumpscan.cli import main
 
 
@@ -41,6 +45,27 @@ def test_detect_writes_outputs_and_summary(step_csv, tmp_path, capsys):
     assert plot[0] == "t,g,threshold,jump"
     assert len(plot) == 501
     assert sum(line.endswith(",1") for line in plot[1:]) == 1
+
+
+@pytest.mark.parametrize("alpha", ["0.05", "auto"])
+def test_detect_builds_field_once(step_csv, tmp_path, monkeypatch, alpha):
+    calls = []
+    build = jumpscan.field.multiscale_field
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    for mod in (jumpscan.cli, jumpscan.detect, jumpscan.tuning):
+        if hasattr(mod, "multiscale_field"):
+            monkeypatch.setattr(mod, "multiscale_field", counting)
+    rc = main([
+        "detect", "--input", str(step_csv), "--out", str(tmp_path),
+        "--alpha", alpha, "--s-lower", "0.061", "--s-upper", "0.167",
+        "--s-star", "0.03",
+    ])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_detect_dump_stat(step_csv, tmp_path):

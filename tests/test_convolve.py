@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpscan.convolve import brute_filtered_series, fast_filtered_series
-from jumpscan.filters import builtin_wstar
+from jumpscan.convolve import brute_filtered_series, fast_filtered_series, filter_bank
+from jumpscan.field import ScaleConfig, scale_grid
+from jumpscan.filters import builtin_wstar, construct_beta_filter
 
 W = builtin_wstar()
 
@@ -132,3 +133,33 @@ def test_boundary_rows_flagged_invalid():
     f = fast_filtered_series(np.random.default_rng(1).standard_normal(200), 0.1, W)
     assert not f.valid[0] and not f.valid[19] and f.valid[20]
     assert f.valid[179] and not f.valid[180] and not f.valid[199]
+
+
+def test_bank_matches_brute_every_grid_scale_and_s_star():
+    n = 1200
+    cfg = ScaleConfig(0.043, 0.125, 0.02)
+    scales = [cfg.s_star, *scale_grid(n, cfg)]
+    ymat = np.random.default_rng(7).standard_normal((3, n)) * np.array([[0.01], [1.0], [100.0]])
+    responses = list(filter_bank(ymat, scales, W))
+    assert len(responses) == len(scales)
+    for s, hs in zip(scales, responses):
+        assert hs.shape == (3, n)
+        for row, y in zip(hs, ymat):
+            assert rel_gap(row, brute_filtered_series(y, s, W).values) < 1e-10
+
+
+def test_bank_output_independent_of_fft_workers():
+    ymat = np.random.default_rng(8).standard_normal((6, 700))
+    scales = (0.03, 0.07, 0.15)
+    one = list(filter_bank(ymat, scales, W, workers=1))
+    four = list(filter_bank(ymat, scales, W, workers=4))
+    assert all(np.array_equal(a, b) for a, b in zip(one, four))
+
+
+def test_beta_filter_fast_matches_brute():
+    beta, _ = construct_beta_filter(2, 50)
+    y = np.random.default_rng(4).standard_normal(800)
+    for s in (0.01, 0.1, 0.3):
+        f = fast_filtered_series(y, s, beta)
+        b = brute_filtered_series(y, s, beta)
+        assert rel_gap(f.values, b.values) < 1e-10

@@ -5,7 +5,7 @@ import pytest
 
 from jumpscan.detect import RawJump, cusum_refine, detect_pipeline, mjpd_detect
 from jumpscan.field import MultiscaleField, ScaleConfig, multiscale_field
-from jumpscan.filters import builtin_wstar
+from jumpscan.filters import builtin_wstar, construct_beta_filter
 
 W = builtin_wstar()
 CFG = ScaleConfig(s_lower=0.061, s_upper=0.167, s_star=0.03)
@@ -185,3 +185,13 @@ def test_pipeline_reuses_prebuilt_field():
     r1 = detect_pipeline(y, CFG, W, alpha=0.05, field_=f)
     r2 = detect_pipeline(y, CFG, W, alpha=0.05)
     assert [j.location for j in r1.jumps_raw] == [j.location for j in r2.jumps_raw]
+
+
+def test_pipeline_runs_with_beta_filter():
+    beta, _ = construct_beta_filter(2, 50)
+    n = 500
+    t = (np.arange(n) + 1) / n
+    y = 4.0 * (t > 0.5) + np.random.default_rng(2).standard_normal(n)
+    res = detect_pipeline(y, CFG, beta, alpha=0.05)
+    assert res.count == 1
+    assert abs(res.jumps_refined[0] - 0.5) <= 0.01

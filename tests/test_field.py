@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpscan.field import ScaleConfig, multiscale_field, scale_grid, xi_denominator
+from jumpscan.field import ScaleConfig, _max_g_batch, multiscale_field, scale_grid, xi_denominator
 from jumpscan.filters import builtin_wstar
 
 W = builtin_wstar()
@@ -153,3 +153,12 @@ def test_field_thread_count_invariance():
     f2 = multiscale_field(y, CFG500, W, threads=4)
     assert np.array_equal(f1.h, f2.h)
     assert np.array_equal(np.nan_to_num(f1.g), np.nan_to_num(f2.g))
+
+
+def test_field_maximum_matches_null_batch_statistic():
+    # calibration simulates the same self-normalized maximum detection uses
+    ymat = np.random.default_rng(13).standard_normal((4, 500))
+    sn, _, _ = _max_g_batch(ymat, CFG500, W)
+    for row, expect in zip(ymat, sn):
+        f = multiscale_field(row, CFG500, W)
+        assert np.max(f.g[f.valid]) == pytest.approx(expect, rel=1e-12)

@@ -117,6 +117,15 @@ def test_wstar_moment_constants_frozen():
     assert m.f0 == pytest.approx(1.0, abs=1e-12)
 
 
+def test_moments_cached_and_bitwise_equal():
+    w = builtin_wstar()
+    beta, _ = construct_beta_filter(2, 50)
+    for f in (w, beta):
+        first = f.moments()
+        assert f.moments() is first
+        assert type(f).moments.__wrapped__(f) == first
+
+
 def test_moments_zero_filter_rejected():
     with pytest.raises(ValueError, match="zero filter"):
         JumpPassFilter(order_k=1, coeffs=(0.0, 0.0))

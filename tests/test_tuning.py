@@ -181,6 +181,7 @@ def test_auto_detect_with_fixed_scales_finds_step():
     assert res.jumps_raw[0].location == pytest.approx(0.5, abs=0.01)
     assert info["alpha"] == res.alpha
     assert 0.001 <= res.alpha <= 0.300
+    assert np.array_equal(info["field"].g, multiscale_field(y, cfg, W).g, equal_nan=True)
 
 
 def test_auto_detect_full_auto_scales():
