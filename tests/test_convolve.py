@@ -148,14 +148,6 @@ def test_bank_matches_brute_every_grid_scale_and_s_star():
             assert rel_gap(row, brute_filtered_series(y, s, W).values) < 1e-10
 
 
-def test_bank_output_independent_of_fft_workers():
-    ymat = np.random.default_rng(8).standard_normal((6, 700))
-    scales = (0.03, 0.07, 0.15)
-    one = list(filter_bank(ymat, scales, W, workers=1))
-    four = list(filter_bank(ymat, scales, W, workers=4))
-    assert all(np.array_equal(a, b) for a, b in zip(one, four))
-
-
 def test_beta_filter_fast_matches_brute():
     beta, _ = construct_beta_filter(2, 50)
     y = np.random.default_rng(4).standard_normal(800)
