@@ -324,7 +324,8 @@ def _common_detect_flags(p):
                    help="analytic | bootstrap[:B] | fixed:C")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: JUMPSCAN_THREADS or 1)")
+                   help="bootstrap threads / montecarlo processes "
+                   "(default: JUMPSCAN_THREADS or 1)")
 
 
 def build_parser():

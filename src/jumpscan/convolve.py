@@ -10,12 +10,14 @@ with the kernel ``k[d] = W(d/ns) / sqrt(ns)``, |d| <= h.  The bank
 transforms each series once (Cooley & Tukey 1965), zero-padded to a fast
 length of at least ``n + h_max`` so that no output row wraps around, and
 gives the response at each scale as the inverse transform of the series
-spectrum times the conjugate kernel spectrum.  Kernel spectra are built
-from ``filt.eval_many`` and cached per (n, FFT length, scale, filter), so
-any filter with vectorized evaluation works.  Cost is O(n log n) per
-scale, against O(n) for rolling polynomial sums, which were nonetheless
-measured slower at every n up to 100 000.  A moving-sum (MOSUM)
-statistic is the box-kernel case of the same filtering.
+spectrum times the conjugate kernel spectrum.  The transforms are
+``numpy.fft``'s real FFTs at the smallest 2*3*5-smooth length that fits,
+the lengths its pocketfft core transforms fastest.  Kernel spectra are
+built from ``filt.eval_many`` and cached per (n, FFT length, scale,
+filter), so any filter with vectorized evaluation works.  Cost is
+O(n log n) per scale, against O(n) for rolling polynomial sums, which
+were nonetheless measured slower at every n up to 100 000.  A moving-sum
+(MOSUM) statistic is the box-kernel case of the same filtering.
 
 FFT round-off is absolute, about 1e-14 * max|y| per output: agreement
 with the direct sum is ~1e-13 relative for standardized inputs, and a
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 __all__ = ["FilteredSeries", "fast_filtered_series", "brute_filtered_series"]
 
@@ -53,6 +55,21 @@ class FilteredSeries:
     @property
     def n(self) -> int:
         return len(self.values)
+
+
+def _fast_len(target: int) -> int:
+    """Smallest 2*3*5-smooth integer >= ``target`` (a fast real FFT length)."""
+    best = 1 << (target - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # smallest f35 * 2^k >= target
+            quotient = -(-target // f35)
+            best = min(best, f35 << (quotient - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
 
 
 def _window(n: int, s: float) -> int:
@@ -98,20 +115,19 @@ def _kernel_spectrum(n: int, length: int, s: float, filt) -> np.ndarray:
     return spec
 
 
-def filter_bank(ymat: np.ndarray, scales, filt, workers: int = 1):
+def filter_bank(ymat: np.ndarray, scales, filt):
     """Yield the (m, n) response of the rows of ``ymat`` at each scale in turn.
 
     Each row is transformed once for all ``scales``; responses are produced
     lazily, so a caller that reduces over scales holds one at a time.
-    ``workers`` is the FFT thread count and does not change the output.
     """
     n = ymat.shape[1]
     scales = [float(s) for s in scales]
-    length = next_fast_len(n + max(_window(n, s) for s in scales), real=True)
-    spec = rfft(ymat, length, axis=1, workers=workers)
+    length = _fast_len(n + max(_window(n, s) for s in scales))
+    spec = rfft(ymat, length, axis=1)
     for s in scales:
         kernel = _kernel_spectrum(n, length, s, filt)
-        yield irfft(spec * kernel, length, axis=1, workers=workers)[:, :n]
+        yield irfft(spec * kernel, length, axis=1)[:, :n]
 
 
 def fast_filtered_series(y, s: float, filt) -> FilteredSeries:

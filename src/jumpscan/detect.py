@@ -164,10 +164,12 @@ def detect_pipeline(
     rule of thumb).  Analytic and bootstrap thresholds are multiplied by
     the finite-sample denominator factor unless ``fs_correct`` is off.
     A precomputed ``field_`` for the same (y, cfg, filt) is reused as is.
+    ``threads`` parallelizes the bootstrap null replicates and does not
+    change the result.
     """
     y = np.asarray(y, dtype=float)
     if field_ is None:
-        field_ = multiscale_field(y, cfg, filt, threads=threads)
+        field_ = multiscale_field(y, cfg, filt)
     c, k = _resolve_threshold(
         threshold_mode, alpha, cfg, filt, len(y), seed, fs_correct, threads
     )

@@ -110,7 +110,7 @@ def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     return _moving_average(raw, half)
 
 
-def _grid_responses(ymat: np.ndarray, cfg: ScaleConfig, filt, workers: int = 1):
+def _grid_responses(ymat: np.ndarray, cfg: ScaleConfig, filt):
     """Scale grid, smoothed denominator and the lazy grid responses of ``ymat``.
 
     One filter bank serves the denominator scale and every grid scale, so
@@ -119,7 +119,7 @@ def _grid_responses(ymat: np.ndarray, cfg: ScaleConfig, filt, workers: int = 1):
     n = ymat.shape[1]
     cfg.validate_n(n)
     grid = scale_grid(n, cfg)
-    bank = filter_bank(ymat, [cfg.s_star, *grid], filt, workers=workers)
+    bank = filter_bank(ymat, [cfg.s_star, *grid], filt)
     xi = _xi_smoothed(next(bank), cfg)
     return grid, xi, bank
 
@@ -165,24 +165,30 @@ class MultiscaleField:
         return float(self.grid[int(np.argmax(np.abs(self.h[:, j])))])
 
 
-def multiscale_field(y, cfg: ScaleConfig, filt, threads: int = 1) -> MultiscaleField:
+def multiscale_field(y, cfg: ScaleConfig, filt) -> MultiscaleField:
     """Build the full multiscale statistic for one series.
 
-    ``threads`` is the FFT worker count; the output does not depend on it.
+    Raises ``ValueError`` when no point of the valid core has a
+    non-degenerate denominator (a constant series, for one).
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n < 50:
         raise ValueError("series too short (n >= 50 required)")
-    grid, xi, bank = _grid_responses(y[None, :], cfg, filt, workers=threads)
+    grid, xi, bank = _grid_responses(y[None, :], cfg, filt)
     h = np.vstack([r[0] for r in bank])
     xi = xi[0]
 
     b = int(math.floor(n * cfg.s_upper))
     valid = np.zeros(n, dtype=bool)
     valid[b : n - b] = True
-    degenerate = xi < _XI_FLOOR * max(float(xi.max()), _XI_FLOOR)
-    valid &= ~degenerate
+    # A series without spread has Xi = 0 in exact arithmetic; the FFT leaves
+    # round-off there that no relative floor can tell from signal.
+    xi_max = float(xi.max()) if np.ptp(y) > 0 else 0.0
+    if xi_max > 0:
+        valid &= xi >= _XI_FLOOR * xi_max
+    if xi_max == 0 or not valid.any():
+        raise ValueError("no valid point: the denominator is degenerate (constant series?)")
 
     g = np.full(n, np.nan)
     hmax = np.max(np.abs(h), axis=0)
@@ -192,7 +198,7 @@ def multiscale_field(y, cfg: ScaleConfig, filt, threads: int = 1) -> MultiscaleF
     )
 
 
-def _max_g_batch(ymat: np.ndarray, cfg: ScaleConfig, filt, workers: int = 1):
+def _max_g_batch(ymat: np.ndarray, cfg: ScaleConfig, filt):
     """Null maxima per row of ``ymat``, matching multiscale_field's conventions.
 
     Returns (selfnorm_core, fixed_core, fixed_full): the self-normalized and
@@ -201,7 +207,7 @@ def _max_g_batch(ymat: np.ndarray, cfg: ScaleConfig, filt, workers: int = 1):
     reduced as they come out of the bank, so memory stays O(rows x n).
     """
     m, n = ymat.shape
-    _, xi, bank = _grid_responses(ymat, cfg, filt, workers=workers)
+    _, xi, bank = _grid_responses(ymat, cfg, filt)
     hmax = np.zeros((m, n))
     for hs in bank:
         np.maximum(hmax, np.abs(hs, out=hs), out=hmax)

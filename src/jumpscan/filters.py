@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaln
 
 __all__ = [
     "JumpPassFilter",
@@ -362,7 +361,12 @@ def construct_legendre_filter(k: int, n_basis: int) -> JumpPassFilter:
 # beta-density construction (existence of arbitrary-order filters)
 # ---------------------------------------------------------------------------
 
+# scipy.special is imported where the beta construction needs it, so that
+# importing the package loads no scipy module.
+
 def _beta(a: float, b: float) -> float:
+    from scipy.special import betaln
+
     return math.exp(betaln(a, b))
 
 
@@ -415,6 +419,7 @@ class BetaJumpFilter:
 
     def antideriv01(self, x) -> np.ndarray:
         from numpy.polynomial import polynomial as P
+        from scipy.special import betainc
 
         x = np.asarray(x, dtype=float)
         ia = betainc(2.0, self.q + 1.0, np.clip(x, 0.0, 1.0))

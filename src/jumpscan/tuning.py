@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import median_filter
-from scipy.stats import norm
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .detect import detect_pipeline
 from .convolve import filter_bank
@@ -39,6 +38,36 @@ _DEFAULT_Q_GRID = np.arange(0.001, 0.301, 0.001)
 _CANDIDATE_BAR_LEVEL = 0.02
 # ... unless their peak scale is this close to the top of the grid
 _TOP_SCALE_FRACTION = 0.85
+
+# values ranked per block by the sliding median (8 MB of float64)
+_MEDIAN_BLOCK = 1 << 20
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _norm_cdf(x) -> np.ndarray:
+    """Standard normal cdf, 0.5 erfc(-x / sqrt 2), elementwise."""
+    z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
+    return 0.5 * np.asarray(_erfc(z), dtype=float)
+
+
+def _sliding_median(x: np.ndarray, w: int) -> np.ndarray:
+    """Moving median over ``w`` points with edge values repeated.
+
+    The window at i spans i - w//2 .. i - w//2 + w - 1 and the rank taken is
+    w//2, so an even ``w`` gives the upper of the two middle values; this is
+    ``scipy.ndimage.median_filter(x, size=w, mode="nearest")`` exactly.
+    Windows are ranked in blocks of about ``_MEDIAN_BLOCK`` values, so
+    memory stays bounded whatever ``w``.
+    """
+    lo = w // 2
+    windows = sliding_window_view(np.pad(x, (lo, w - 1 - lo), mode="edge"), w)
+    out = np.empty(len(x))
+    block = max(1, _MEDIAN_BLOCK // w)
+    for start in range(0, len(x), block):
+        part = windows[start : start + block]
+        out[start : start + block] = np.partition(part, lo, axis=1)[:, lo]
+    return out
 
 
 @lru_cache(maxsize=128)
@@ -229,7 +258,7 @@ def select_alpha(
     else:
         q_grid = np.asarray(q_grid)
         cvals = np.array([critical_value(q, tc) for q in q_grid]) * correction
-    hit = norm.cdf(cvals - xi_n) - norm.cdf(-cvals - xi_n)
+    hit = _norm_cdf(cvals - xi_n) - _norm_cdf(-cvals - xi_n)
     miss = 1.0 - (1.0 - hit) ** m_guess
     delta = q_grid + miss
     return float(q_grid[int(np.argmin(delta))])
@@ -243,7 +272,7 @@ def sigma_sup_estimate(field_: MultiscaleField) -> float:
     """
     n = field_.n
     w = max(int(math.floor(n * field_.cfg.s_star)), 1)
-    smoothed = median_filter(field_.xi, size=w, mode="nearest")
+    smoothed = _sliding_median(field_.xi, w)
     vals = smoothed[field_.valid]
     if len(vals) == 0:
         raise ValueError("no valid denominator entries")
@@ -287,7 +316,7 @@ def auto_detect(
         info["scale_report"] = pair
         info["s_star_report"] = star
     info["config"] = cfg
-    field_ = multiscale_field(y, cfg, filt, threads=threads)
+    field_ = multiscale_field(y, cfg, filt)
     info["field"] = field_
 
     if alpha != "auto":

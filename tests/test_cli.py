@@ -118,6 +118,14 @@ def test_detect_short_series_exit_2(tmp_path):
     assert main(["detect", "--input", str(p)]) == 2
 
 
+@pytest.mark.parametrize("scales", [[], ["--s-lower", "0.061", "--s-upper", "0.167"]])
+def test_detect_constant_series_exit_3(tmp_path, capsys, scales):
+    p = tmp_path / "flat.csv"
+    write_series(p, np.full(500, 2.5))
+    assert main(["detect", "--input", str(p), "--out", str(tmp_path), *scales]) == 3
+    assert "no valid point" in capsys.readouterr().err
+
+
 def test_detect_bad_config_exit_3(step_csv, tmp_path, capsys):
     rc = main([
         "detect", "--input", str(step_csv), "--out", str(tmp_path),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpscan.convolve import brute_filtered_series, fast_filtered_series, filter_bank
+from jumpscan.convolve import _fast_len, brute_filtered_series, fast_filtered_series, filter_bank
 from jumpscan.field import ScaleConfig, scale_grid
 from jumpscan.filters import builtin_wstar, construct_beta_filter
 
@@ -155,3 +155,11 @@ def test_beta_filter_fast_matches_brute():
         f = fast_filtered_series(y, s, beta)
         b = brute_filtered_series(y, s, beta)
         assert rel_gap(f.values, b.values) < 1e-10
+
+
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    got = [_fast_len(t) for t in range(1, 100_001)]
+    want = [next_fast_len(t, real=True) for t in range(1, 100_001)]
+    assert got == want

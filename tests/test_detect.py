@@ -156,6 +156,19 @@ def test_pipeline_scale_invariance_fixed_threshold(a):
     assert r1.jumps_refined == r2.jumps_refined
 
 
+def test_pipeline_tiny_amplitude_matches_unit_amplitude():
+    # the degenerate-denominator floor is relative, so a 1e-150 scaling
+    # leaves every denominator entry valid and the detection unchanged
+    y = step_series(seed=6)
+    r1 = detect_pipeline(y, CFG, W, alpha=0.05)
+    r2 = detect_pipeline(1e-150 * y, CFG, W, alpha=0.05)
+    assert r1.count == r2.count >= 1
+    assert [j.location for j in r1.jumps_raw] == [j.location for j in r2.jumps_raw]
+    assert r1.jumps_refined == r2.jumps_refined
+    for a, b in zip(r1.jumps_raw, r2.jumps_raw):
+        assert b.g_value == pytest.approx(a.g_value, rel=1e-9)
+
+
 def test_pipeline_refinement_containment_and_json():
     res = detect_pipeline(step_series(seed=8), CFG, W, alpha=0.05)
     z = res.config["z"]

@@ -7,6 +7,7 @@ import pytest
 from jumpscan.field import ScaleConfig
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import (
+    _gauss_max_stats,
     alpha_of_c,
     bootstrap_cv,
     critical_value,
@@ -116,6 +117,16 @@ def test_bootstrap_thread_invariance():
     a = bootstrap_cv(0.05, 300, cfg, W, B=200, seed=9, threads=1)
     b = bootstrap_cv(0.05, 300, cfg, W, B=200, seed=9, threads=4)
     assert a == b
+
+
+def test_null_maxima_thread_count_invariance():
+    # B = 300 spans three 128-row chunks, mapped over threads
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    one = _gauss_max_stats(300, cfg, W, 300, 9, threads=1)
+    many = _gauss_max_stats(300, cfg, W, 300, 9, threads=3)
+    for a, b in zip(one, many):
+        assert a.shape == (300,)
+        assert np.array_equal(a, b)
 
 
 def test_bootstrap_requires_min_replicates():

@@ -5,6 +5,8 @@ from jumpscan.field import ScaleConfig, multiscale_field
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import critical_value, tail_constants
 from jumpscan.tuning import (
+    _norm_cdf,
+    _sliding_median,
     auto_detect,
     select_alpha,
     select_s_star,
@@ -90,6 +92,30 @@ def test_select_scales_no_admissible_pair():
     with pytest.raises(ValueError, match="admissible"):
         select_scales(y, W, k3=1, grid1=np.linspace(0.2, 0.3, 3),
                       grid2=np.linspace(0.05, 0.1, 3))
+
+
+# ---------------------------------------------------------------------------
+# numpy stand-ins for scipy helpers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 7, 60, 501, 3000])
+def test_sliding_median_matches_median_filter(n):
+    from scipy.ndimage import median_filter
+
+    x = np.random.default_rng(n).standard_normal(n)
+    x[::5] = x[0]  # ties
+    # at n = 3000 the widest windows are ranked in several blocks
+    for w in sorted({1, 2, 3, 4, 7, 30, 51, max(1, n - 1), n, n + 1, 2 * n + 2}):
+        want = median_filter(x, size=w, mode="nearest")
+        assert np.array_equal(_sliding_median(x, w), want), w
+
+
+def test_norm_cdf_matches_ndtr():
+    from scipy.special import ndtr
+
+    x = np.linspace(-40.0, 40.0, 80_001)
+    assert np.max(np.abs(_norm_cdf(x) - ndtr(x))) <= 1e-15
+    assert _norm_cdf(0.0) == 0.5
 
 
 # ---------------------------------------------------------------------------
