@@ -2,7 +2,7 @@
 
 from .convolve import FilteredSeries, brute_filtered_series, fast_filtered_series
 from .detect import DetectionResult, RawJump, cusum_refine, detect_pipeline, mjpd_detect
-from .field import MultiscaleField, ScaleConfig, multiscale_field, scale_grid, xi_denominator
+from .field import MultiscaleField, ScaleConfig, multiscale_field, scale_grid
 from .filters import (
     BetaJumpFilter,
     FilterMoments,
@@ -24,7 +24,6 @@ from .threshold import (
     critical_value,
     fs_correction,
     tail_constants,
-    upper_bound_cv,
 )
 from .tuning import (
     MvReport,

@@ -1,4 +1,4 @@
-"""Command-line interface: detect, calibrate, tune, simulate, montecarlo, bench."""
+"""Command-line interface: detect, calibrate, tune, simulate, montecarlo."""
 
 from __future__ import annotations
 
@@ -7,24 +7,22 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .detect import detect_pipeline
-from .field import ScaleConfig, scale_grid
+from .field import MIN_N, ScaleConfig
 from .filters import builtin_wstar, load_filter
 from .simulate import DetectorSpec, PlsScenario, gen_series, monte_carlo
 from .threshold import critical_value, tail_constants
-from .tuning import auto_detect, select_s_star, select_scales
-from .convolve import fast_filtered_series
+from .tuning import auto_detect, select_s_star
 
 EXIT_BAD_INPUT = 2
 EXIT_BAD_CONFIG = 3
 
 # Reference ladder of scale pairs by sample size (used by `calibrate` and as
-# a bench default).
+# the `montecarlo` default).
 LADDER = [
     (500, 0.061, 0.167),
     (1000, 0.043, 0.125),
@@ -68,8 +66,8 @@ def _read_series(path) -> np.ndarray:
             if not math.isfinite(v):
                 raise CliError(f"{path}: line {lineno}: non-finite value", EXIT_BAD_INPUT)
             vals.append(v)
-    if len(vals) < 100:
-        raise CliError(f"{path}: need at least 100 observations, got {len(vals)}", EXIT_BAD_INPUT)
+    if len(vals) < MIN_N:
+        raise CliError(f"{path}: need at least {MIN_N} observations, got {len(vals)}", EXIT_BAD_INPUT)
     return np.array(vals)
 
 
@@ -111,15 +109,15 @@ def _parse_scenario(text, n, seed):
         raise CliError(f"bad scenario {text!r}: {exc}", EXIT_BAD_CONFIG) from exc
 
 
-def _scales_from(args, y, filt, threads):
+def _scales_from(args, y, filt):
     explicit = args.s_lower is not None or args.s_upper is not None
     if explicit:
         if args.s_lower is None or args.s_upper is None:
             raise CliError("provide both --s-lower and --s-upper (or neither)", EXIT_BAD_CONFIG)
-        s_star = args.s_star
-        if s_star is None:
-            s_star = select_s_star(y, args.s_lower, args.s_upper, filt).chosen
         try:
+            s_star = args.s_star
+            if s_star is None:
+                s_star = select_s_star(y, args.s_lower, args.s_upper, filt).chosen
             return ScaleConfig(args.s_lower, args.s_upper, s_star, args.grid_eps)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
@@ -134,7 +132,7 @@ def cmd_detect(args) -> int:
     threads = _threads(args)
     filt = _filter_from(args)
     y = _read_series(args.input)
-    cfg = _scales_from(args, y, filt, threads)
+    cfg = _scales_from(args, y, filt)
     alpha = args.alpha
     if alpha != "auto":
         alpha = float(alpha)
@@ -205,9 +203,11 @@ def cmd_tune(args) -> int:
     threads = _threads(args)
     filt = _filter_from(args)
     y = _read_series(args.input)
-    pair = select_scales(y, filt, alpha=0.05, threads=threads)
-    sl, su = pair.chosen
-    star = select_s_star(y, sl, su, filt)
+    try:
+        res, info = auto_detect(y, filt, alpha="auto", threads=threads)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
+    pair, star, cfg = info["scale_report"], info["s_star_report"], info["config"]
     print("scale-pair stability sweep:")
     for (a, b), s in zip(pair.candidates, pair.scores):
         mark = " <-- chosen" if (a, b) == pair.chosen else ""
@@ -217,10 +217,8 @@ def cmd_tune(args) -> int:
         mark = " <-- chosen" if c == star.chosen else ""
         se = "inf" if not math.isfinite(s) else f"{s:.4g}"
         print(f"  s_star={c:.4g}  SE={se}{mark}")
-    cfg = ScaleConfig(sl, su, star.chosen)
-    res, info = auto_detect(y, filt, cfg=cfg, alpha="auto", threads=threads)
     block = {
-        "s_lower": sl, "s_upper": su, "s_star": star.chosen,
+        "s_lower": cfg.s_lower, "s_upper": cfg.s_upper, "s_star": cfg.s_star,
         "alpha": res.alpha, "threshold": res.threshold,
     }
     print(json.dumps(block, indent=1))
@@ -281,36 +279,6 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    filt = _filter_from(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rng = np.random.default_rng(args.seed)
-    print("n      scales  per_scale_ms  total_ms")
-    per_scale, totals = [], []
-    for n in sizes:
-        row = min(LADDER, key=lambda r: abs(r[0] - n))
-        cfg = ScaleConfig(row[1], row[2], min(0.5 * row[1], max(2.5 / n, 0.25 * row[1])), args.grid_eps)
-        y = rng.standard_normal(n)
-        grid = scale_grid(n, cfg)
-        best_scale = math.inf
-        best_total = math.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            for s in grid:
-                fast_filtered_series(y, s, filt)
-            dt = time.perf_counter() - t0
-            best_total = min(best_total, dt)
-            best_scale = min(best_scale, dt / len(grid))
-        per_scale.append(best_scale)
-        totals.append(best_total)
-        print(f"{n:<6} {len(grid):<7d} {best_scale*1e3:<13.3f} {best_total*1e3:.3f}")
-    if len(sizes) >= 3:
-        x = np.log([n * math.log(n) ** 1.5 for n in sizes])
-        slope = np.polyfit(x, np.log(totals), 1)[0]
-        print(f"log-log slope of total time vs n (log n)^1.5: {slope:.3f}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def _common_detect_flags(p):
@@ -366,13 +334,6 @@ def build_parser():
     p.add_argument("--out", default=".")
     _common_detect_flags(p)
     p.set_defaults(fn=cmd_montecarlo)
-
-    p = sub.add_parser("bench", help="filtering throughput and scaling check")
-    p.add_argument("--sizes", default="1000,2000,4000")
-    p.add_argument("--grid-eps", type=float, default=0.5)
-    p.add_argument("--filter", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_bench)
     return ap
 
 

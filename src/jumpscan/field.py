@@ -9,12 +9,12 @@ import numpy as np
 
 from .convolve import filter_bank
 
-__all__ = ["ScaleConfig", "scale_grid", "xi_denominator", "MultiscaleField", "multiscale_field"]
+__all__ = ["MIN_N", "ScaleConfig", "scale_grid", "MultiscaleField", "multiscale_field"]
 
+# shortest series the detector accepts
+MIN_N = 100
 # relative floor below which a denominator entry counts as degenerate
 _XI_FLOOR = 1e-12
-# time-smoothing half-width of the denominator, as a fraction of the band
-_XI_SMOOTH_FRACTION = 1.0
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,22 @@ def scale_grid(n: int, cfg: ScaleConfig) -> np.ndarray:
 def _band_mean_sq(hvals: np.ndarray, a: int, b: int, lo: int, hi: int) -> np.ndarray:
     """Rolling two-sided band average of hvals**2 over a <= |i-j| <= b.
 
-    Band indices are additionally truncated to [lo, hi); rows outside that
-    range carry boundary-truncated filter windows and would leak level
-    shifts into the denominator.
+    Band indices are additionally truncated to [lo, hi).  Rows outside that
+    range carry boundary-truncated filter windows: they would leak level
+    shifts into the denominator, and under a large offset their size would
+    cancel the band differences, so they stay out of the cumulative sum.
     """
     m, n = hvals.shape
     if a > b:
         raise ValueError("empty denominator band: s_star too close to s_upper")
-    Q = np.concatenate([np.zeros((m, 1)), np.cumsum(hvals * hvals, axis=1)], axis=1)
+    inner = hvals[:, lo:hi]
+    Q = np.zeros((m, hi - lo + 1))
+    np.cumsum(inner * inner, axis=1, out=Q[:, 1:])
     j = np.arange(n)
-    rl = np.clip(j + a, lo, hi)
-    rh = np.clip(j + b + 1, lo, hi)
-    ll = np.clip(j - b, lo, hi)
-    lh = np.clip(j - a + 1, lo, hi)
+    rl = np.clip(j + a, lo, hi) - lo
+    rh = np.clip(j + b + 1, lo, hi) - lo
+    ll = np.clip(j - b, lo, hi) - lo
+    lh = np.clip(j - a + 1, lo, hi) - lo
     total = (Q[:, rh] - Q[:, rl]) + (Q[:, lh] - Q[:, ll])
     count = (rh - rl) + (lh - ll)
     if np.any(count == 0):
@@ -106,63 +109,72 @@ def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     level on the scale the band already pools over.
     """
     raw = _xi_band(hstar, cfg.s_star, cfg.s_upper)
-    half = max(1, int(math.floor(hstar.shape[1] * cfg.s_upper * _XI_SMOOTH_FRACTION)))
+    half = max(1, int(math.floor(hstar.shape[1] * cfg.s_upper)))
     return _moving_average(raw, half)
 
 
-def _grid_responses(ymat: np.ndarray, cfg: ScaleConfig, filt):
-    """Scale grid, smoothed denominator and the lazy grid responses of ``ymat``.
+def _field_batch(ymat: np.ndarray, cfg: ScaleConfig, filt):
+    """Scale grid, smoothed denominator, valid mask and lazy grid responses.
 
-    One filter bank serves the denominator scale and every grid scale, so
-    each row is transformed once.
+    The one statistic core: detection (``multiscale_field``, one row) and
+    the null simulation behind the thresholds (``threshold._gauss_max_stats``)
+    both reduce the responses to max_u |H(t, u)| and divide by sqrt(Xi) on
+    the valid mask.  One filter bank serves the denominator scale and every
+    grid scale, so each row is transformed once.
+
+    A point is valid when it lies in the core [s_upper, 1 - s_upper] and its
+    Xi is at least ``_XI_FLOOR`` times the row maximum.  A row without
+    spread has Xi = 0 in exact arithmetic; the FFT leaves round-off there
+    that no relative floor can tell from signal, so none of its points is
+    valid.
     """
     n = ymat.shape[1]
     cfg.validate_n(n)
     grid = scale_grid(n, cfg)
     bank = filter_bank(ymat, [cfg.s_star, *grid], filt)
     xi = _xi_smoothed(next(bank), cfg)
-    return grid, xi, bank
+    spread = np.ptp(ymat, axis=1, keepdims=True) > 0
+    top = np.where(spread, xi.max(axis=1, keepdims=True), 0.0)
+    valid = (xi >= _XI_FLOOR * top) & (top > 0)
+    b = int(math.floor(n * cfg.s_upper))
+    valid[:, :b] = False
+    valid[:, n - b :] = False
+    return grid, xi, valid, bank
 
 
-def xi_denominator(y, cfg: ScaleConfig, filt) -> np.ndarray:
-    """Local second-moment normalizer Xi(j/n) for every j.
-
-    Averages H(i/n, s_star)^2 over the two-sided index band
-    s_star <= |i/n - j/n| <= s_upper, truncated to existing indices.
-    """
-    y = np.asarray(y, dtype=float)
-    cfg.validate_n(len(y))
-    (hstar,) = filter_bank(y[None, :], [cfg.s_star], filt)
-    return _xi_band(hstar, cfg.s_star, cfg.s_upper)[0]
+def _self_normalized(hmax, xi, valid, fill):
+    """hmax / sqrt(xi) on the valid mask, ``fill`` elsewhere."""
+    return np.divide(hmax, np.sqrt(xi), out=np.full(hmax.shape, fill), where=valid)
 
 
 @dataclass(frozen=True)
 class MultiscaleField:
-    """All per-scale filter responses plus the self-normalized maximum.
+    """The self-normalized maximum over scales, with its arg-max scale.
 
     ``xi`` is the operational denominator series: the banded average of
     squared fine-scale responses, stabilized by a band-width moving average
-    across time (see ``_xi_smoothed``).
+    across time (see ``_xi_smoothed``).  Every array has length n.
     """
 
     grid: np.ndarray           # scales, increasing
-    h: np.ndarray              # (n_scales, n) filter responses
+    hmax: np.ndarray           # (n,) max_u |h[u]| over the grid
+    arg: np.ndarray            # (n,) int16 index of the grid scale attaining hmax
     xi: np.ndarray             # (n,) denominator
-    g: np.ndarray              # (n,) max_u |h[u]| / sqrt(xi); NaN where invalid
-    valid: np.ndarray          # (n,) bool; True on [s_upper, 1 - s_upper]
+    g: np.ndarray              # (n,) hmax / sqrt(xi); NaN where invalid
+    valid: np.ndarray          # (n,) bool; see ``_field_batch``
     cfg: ScaleConfig
     u11: float
 
     @property
     def n(self) -> int:
-        return self.h.shape[1]
+        return len(self.g)
 
     def times(self) -> np.ndarray:
         n = self.n
         return (np.arange(n) + 1.0) / n
 
     def scale_at_max(self, j: int) -> float:
-        return float(self.grid[int(np.argmax(np.abs(self.h[:, j])))])
+        return float(self.grid[self.arg[j]])
 
 
 def multiscale_field(y, cfg: ScaleConfig, filt) -> MultiscaleField:
@@ -173,48 +185,20 @@ def multiscale_field(y, cfg: ScaleConfig, filt) -> MultiscaleField:
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if n < 50:
-        raise ValueError("series too short (n >= 50 required)")
-    grid, xi, bank = _grid_responses(y[None, :], cfg, filt)
-    h = np.vstack([r[0] for r in bank])
-    xi = xi[0]
-
-    b = int(math.floor(n * cfg.s_upper))
-    valid = np.zeros(n, dtype=bool)
-    valid[b : n - b] = True
-    # A series without spread has Xi = 0 in exact arithmetic; the FFT leaves
-    # round-off there that no relative floor can tell from signal.
-    xi_max = float(xi.max()) if np.ptp(y) > 0 else 0.0
-    if xi_max > 0:
-        valid &= xi >= _XI_FLOOR * xi_max
-    if xi_max == 0 or not valid.any():
+    if n < MIN_N:
+        raise ValueError(f"series too short (n >= {MIN_N} required)")
+    grid, xi, valid, bank = _field_batch(y[None, :], cfg, filt)
+    xi, valid = xi[0], valid[0]
+    if not valid.any():
         raise ValueError("no valid point: the denominator is degenerate (constant series?)")
-
-    g = np.full(n, np.nan)
-    hmax = np.max(np.abs(h), axis=0)
-    g[valid] = hmax[valid] / np.sqrt(xi[valid])
+    # running max over scales; a strict comparison keeps the first arg-max
+    hmax = np.abs(next(bank)[0])
+    arg = np.zeros(n, dtype=np.int16)
+    for u, hs in enumerate(bank, start=1):
+        h = np.abs(hs[0], out=hs[0])
+        np.copyto(arg, u, where=h > hmax)
+        np.maximum(hmax, h, out=hmax)
     return MultiscaleField(
-        grid=grid, h=h, xi=xi, g=g, valid=valid, cfg=cfg, u11=filt.moments().u11
+        grid=grid, hmax=hmax, arg=arg, xi=xi, g=_self_normalized(hmax, xi, valid, np.nan),
+        valid=valid, cfg=cfg, u11=filt.moments().u11,
     )
-
-
-def _max_g_batch(ymat: np.ndarray, cfg: ScaleConfig, filt):
-    """Null maxima per row of ``ymat``, matching multiscale_field's conventions.
-
-    Returns (selfnorm_core, fixed_core, fixed_full): the self-normalized and
-    deterministic-denominator maxima over the valid core [s_upper, 1-s_upper],
-    plus the deterministic maximum over every time point.  Scales are
-    reduced as they come out of the bank, so memory stays O(rows x n).
-    """
-    m, n = ymat.shape
-    _, xi, bank = _grid_responses(ymat, cfg, filt)
-    hmax = np.zeros((m, n))
-    for hs in bank:
-        np.maximum(hmax, np.abs(hs, out=hs), out=hmax)
-    b = int(math.floor(n * cfg.s_upper))
-    core = slice(b, n - b)
-    root_u11 = math.sqrt(filt.moments().u11)
-    sn = np.max(hmax[:, core] / np.sqrt(np.maximum(xi[:, core], _XI_FLOOR)), axis=1)
-    fixed = np.max(hmax[:, core], axis=1) / root_u11
-    full = np.max(hmax, axis=1) / root_u11
-    return sn, fixed, full

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import detect_pipeline
-from .field import ScaleConfig
+from .field import MIN_N, ScaleConfig
 from .tuning import auto_detect
 from .util import rng_for
 
@@ -314,8 +314,8 @@ class PlsScenario:
 
 
 def _generate(sc: PlsScenario, rng):
-    if sc.n < 100:
-        raise ValueError("n must be at least 100")
+    if sc.n < MIN_N:
+        raise ValueError(f"n must be at least {MIN_N}")
     if sc.mean_model not in MEAN_MODELS:
         raise ValueError(f"unknown mean model {sc.mean_model!r}")
     if sc.noise_model not in NOISE_MODELS:
@@ -345,7 +345,6 @@ class DetectorSpec:
     fs_correct: bool = True
     z: float | None = None
     filt: object = None  # defaults to the built-in optimal filter
-    auto_s_star: bool = False  # re-select the denominator scale per replicate
 
     def filter(self):
         if self.filt is not None:
@@ -367,22 +366,14 @@ def _mc_one(task):
     filt = det.filter()
     y, truth = _generate(sc, rng_for(seed, r))
     t0 = time.perf_counter()
-    cfg = det.cfg
-    if det.auto_s_star:
-        from dataclasses import replace
-
-        from .tuning import select_s_star
-
-        star = select_s_star(y, cfg.s_lower, cfg.s_upper, filt).chosen
-        cfg = replace(cfg, s_star=star)
     if det.alpha == "auto":
         res, _ = auto_detect(
-            y, filt, cfg=cfg, alpha="auto",
+            y, filt, cfg=det.cfg, alpha="auto",
             threshold_mode=det.threshold_mode, fs_correct=det.fs_correct, z=det.z,
         )
     else:
         res = detect_pipeline(
-            y, cfg, filt, alpha=float(det.alpha),
+            y, det.cfg, filt, alpha=float(det.alpha),
             threshold_mode=det.threshold_mode, fs_correct=det.fs_correct, z=det.z,
         )
     dt = time.perf_counter() - t0

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import ScaleConfig, _max_g_batch
+from .field import ScaleConfig, _field_batch, _self_normalized
 from .util import rng_for
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "tail_constants",
     "alpha_of_c",
     "critical_value",
-    "upper_bound_cv",
     "bootstrap_cv",
     "fs_correction",
 ]
@@ -100,29 +99,32 @@ def critical_value(alpha: float, tc: TailConstants) -> float:
     return 0.5 * (lo + hi)
 
 
-def upper_bound_cv(alpha: float, n: int, upsilon0: float, M: float) -> float:
-    """Coarse upper bound M * sqrt(-2 upsilon0 log n - 2 log alpha)."""
-    if upsilon0 >= 0:
-        raise ValueError("upsilon0 must be negative")
-    radicand = -2.0 * upsilon0 * math.log(n) - 2.0 * math.log(alpha)
-    if radicand < 0:
-        raise ValueError("negative radicand")
-    return M * math.sqrt(radicand)
-
-
+@lru_cache(maxsize=64)
 def _gauss_max_stats(n, cfg, filt, B, seed, threads=1):
     """Null maxima from B Gaussian multiplier series.
 
-    Returns (selfnorm_max, fixed_max, fullrange_fixed_max): the first two
-    restricted to the valid core, the last over every time point.  Rows are
-    simulated in chunks of 128 to bound memory, and the chunks are spread
-    over ``threads`` threads; row seeds and order do not depend on it.
+    Returns read-only arrays (selfnorm_max, fixed_max, fullrange_fixed_max):
+    the self-normalized maximum over the valid mask of the statistic core,
+    the deterministic-denominator maximum over the core [s_upper,
+    1 - s_upper], and the deterministic maximum over every time point.  Rows
+    are simulated in chunks of 128 to bound memory, and the chunks are
+    spread over ``threads`` threads; row seeds and order do not depend on
+    it.  Cached, so every quantile of one configuration comes from one
+    simulation.
     """
+    b = int(math.floor(n * cfg.s_upper))
+    root_u11 = math.sqrt(filt.moments().u11)
 
     def chunk(start):
         rows = range(start, min(start + 128, B))
         ymat = np.vstack([rng_for(seed, r).standard_normal(n) for r in rows])
-        return _max_g_batch(ymat, cfg, filt)
+        _, xi, valid, bank = _field_batch(ymat, cfg, filt)
+        hmax = np.abs(next(bank))
+        for hs in bank:
+            np.maximum(hmax, np.abs(hs, out=hs), out=hmax)
+        sn = np.max(_self_normalized(hmax, xi, valid, -np.inf), axis=1)
+        fixed = np.max(hmax[:, b : n - b], axis=1) / root_u11
+        return sn, fixed, np.max(hmax, axis=1) / root_u11
 
     starts = range(0, B, 128)
     if threads > 1:
@@ -132,7 +134,10 @@ def _gauss_max_stats(n, cfg, filt, B, seed, threads=1):
             chunks = list(pool.map(chunk, starts))
     else:
         chunks = [chunk(start) for start in starts]
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+    out = tuple(np.concatenate(parts) for parts in zip(*chunks))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def bootstrap_cv(
@@ -159,7 +164,7 @@ def bootstrap_cv(
 
 @lru_cache(maxsize=64)
 def _fs_ratio_curve(n, cfg, filt, B, seed):
-    sn, fx, _ = _gauss_max_stats(n, cfg, filt, B, seed)
+    sn, fx, _ = _gauss_max_stats(n, cfg, filt, B, seed, 1)
     sn = np.sort(sn)
     fx = np.sort(fx)
     probes = np.array([0.80, 0.85, 0.90, 0.95, 0.98])

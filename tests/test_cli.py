@@ -116,6 +116,20 @@ def test_detect_short_series_exit_2(tmp_path):
     p = tmp_path / "short.csv"
     write_series(p, np.zeros(50))
     assert main(["detect", "--input", str(p)]) == 2
+    write_series(p, np.random.default_rng(1).standard_normal(jumpscan.field.MIN_N - 1))
+    assert main(["detect", "--input", str(p)]) == 2
+
+
+def test_detect_s_star_selection_error_exit_3(tmp_path, capsys):
+    # s_lower lies below every admissible denominator-scale candidate
+    p = tmp_path / "series.csv"
+    write_series(p, np.random.default_rng(5).standard_normal(1000))
+    rc = main([
+        "detect", "--input", str(p), "--out", str(tmp_path),
+        "--s-lower", "0.005", "--s-upper", "0.1",
+    ])
+    assert rc == 3
+    assert "s_lower below the smallest admissible candidate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scales", [[], ["--s-lower", "0.061", "--s-upper", "0.167"]])
@@ -213,9 +227,18 @@ def test_montecarlo_smoke(tmp_path, capsys):
     assert float(row["hit_rate"]) >= 0.9
 
 
-def test_bench_smoke(capsys):
-    rc = main(["bench", "--sizes", "500,1000,2000"])
+def test_tune_reports_sweeps_and_auto_detection(step_csv, capsys):
+    rc = main(["tune", "--input", str(step_csv)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "per_scale_ms" in out
-    assert "slope" in out
+    sweeps, block = out.split("{", 1)
+    assert sweeps.startswith("scale-pair stability sweep:\n")
+    assert "denominator-scale sweep:\n" in sweeps
+    assert sweeps.count("<-- chosen") == 2
+    y = np.loadtxt(step_csv, skiprows=1)
+    res, info = jumpscan.tuning.auto_detect(y, jumpscan.cli.builtin_wstar(), alpha="auto")
+    cfg = info["config"]
+    assert json.loads("{" + block) == {
+        "s_lower": cfg.s_lower, "s_upper": cfg.s_upper, "s_star": cfg.s_star,
+        "alpha": res.alpha, "threshold": res.threshold,
+    }

@@ -21,7 +21,8 @@ def synthetic_field(g_values, s_upper=0.1):
     cfg = ScaleConfig(s_lower=s_upper / 3, s_upper=s_upper, s_star=s_upper / 6)
     return MultiscaleField(
         grid=np.array([s_upper]),
-        h=np.abs(np.asarray(g_values, dtype=float))[None, :],
+        hmax=np.abs(np.asarray(g_values, dtype=float)),
+        arg=np.zeros(n, dtype=np.int16),
         xi=np.ones(n),
         g=g,
         valid=valid,
@@ -167,6 +168,19 @@ def test_pipeline_tiny_amplitude_matches_unit_amplitude():
     assert r1.jumps_refined == r2.jumps_refined
     for a, b in zip(r1.jumps_raw, r2.jumps_raw):
         assert b.g_value == pytest.approx(a.g_value, rel=1e-9)
+
+
+def test_pipeline_huge_offset_matches_centred():
+    # the denominator band leaves the boundary rows, where a 1e9 offset
+    # dominates the responses, out of its cumulative sum
+    y = step_series(seed=3)
+    r1 = detect_pipeline(y, CFG, W, alpha=0.05)
+    r2 = detect_pipeline(y + 1e9, CFG, W, alpha=0.05)
+    assert r1.count == r2.count >= 1
+    assert [j.location for j in r1.jumps_raw] == [j.location for j in r2.jumps_raw]
+    assert r1.jumps_refined == r2.jumps_refined
+    for a, b in zip(r1.jumps_raw, r2.jumps_raw):
+        assert b.g_value == pytest.approx(a.g_value, rel=1e-6)
 
 
 def test_pipeline_refinement_containment_and_json():

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpscan.field import ScaleConfig, _max_g_batch, multiscale_field, scale_grid, xi_denominator
+from jumpscan.convolve import filter_bank
+from jumpscan.field import MIN_N, ScaleConfig, _field_batch, _xi_band, multiscale_field, scale_grid
 from jumpscan.filters import builtin_wstar
+from jumpscan.threshold import _gauss_max_stats
+from jumpscan.util import rng_for
 
 W = builtin_wstar()
 CFG500 = ScaleConfig(s_lower=0.061, s_upper=0.167, s_star=0.03)
@@ -62,12 +65,17 @@ def test_scale_grid_monotone_property(n):
 # denominator
 # ---------------------------------------------------------------------------
 
+def raw_xi(y, cfg):
+    """Unsmoothed band average of the squared s_star responses of ``y``."""
+    (hstar,) = filter_bank(np.asarray(y, dtype=float)[None, :], [cfg.s_star], W)
+    return _xi_band(hstar, cfg.s_star, cfg.s_upper)[0]
+
+
 def test_xi_scales_quadratically():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(600)
-    xi = xi_denominator(y, CFG500, W)
-    xi4 = xi_denominator(4.0 * y, CFG500, W)
-    assert xi4 == pytest.approx(16.0 * xi, rel=1e-10)
+    _, xi, _, _ = _field_batch(np.vstack([y, 4.0 * y]), CFG500, W)
+    assert xi[1] == pytest.approx(16.0 * xi[0], rel=1e-10)
 
 
 def test_xi_mean_close_to_u11_iid():
@@ -77,7 +85,7 @@ def test_xi_mean_close_to_u11_iid():
     vals = []
     for seed in range(100):
         y = np.random.default_rng((77, seed)).standard_normal(2000)
-        xi = xi_denominator(y, cfg, W)
+        xi = raw_xi(y, cfg)
         b = int(0.167 * 2000)
         vals.append(np.mean(xi[b:-b]))
     assert abs(np.mean(vals) - u11) / u11 < 0.15
@@ -96,7 +104,9 @@ def test_xi_band_empty_errors():
     cfg = ScaleConfig(s_lower=0.115, s_upper=0.117, s_star=0.112)
     y = np.random.default_rng(0).standard_normal(100)
     with pytest.raises(ValueError, match="band"):
-        xi_denominator(y, cfg, W)
+        raw_xi(y, cfg)
+    with pytest.raises(ValueError, match="band"):
+        _field_batch(y[None, :], cfg, W)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +116,14 @@ def test_xi_band_empty_errors():
 def test_g_is_scalewise_maximum():
     y = np.random.default_rng(9).standard_normal(500)
     f = multiscale_field(y, CFG500, W)
-    expect = np.max(np.abs(f.h), axis=0) / np.sqrt(f.xi)
+    h = np.abs(np.vstack(list(filter_bank(y[None, :], f.grid, W))))
+    expect = np.max(h, axis=0) / np.sqrt(f.xi)
     assert f.g[f.valid] == pytest.approx(expect[f.valid], abs=0)
     for u in range(len(f.grid)):
-        assert np.all(f.g[f.valid] >= np.abs(f.h[u, f.valid]) / np.sqrt(f.xi[f.valid]) - 1e-12)
+        assert np.all(f.g[f.valid] >= h[u, f.valid] / np.sqrt(f.xi[f.valid]) - 1e-12)
+    assert f.arg.dtype == np.int16
+    assert np.array_equal(f.arg, np.argmax(h, axis=0))
+    assert f.scale_at_max(250) == f.grid[np.argmax(h[:, 250])]
 
 
 @pytest.mark.parametrize("a", [0.1, 3.0, 100.0])
@@ -123,11 +137,23 @@ def test_g_positive_scaling_invariance(a):
     )
 
 
-def test_mean_shift_leaves_field_unchanged():
+def assert_shift_invariant(offset):
+    # FFT round-off is ~1e-14 max|y| per response; the denominator must not
+    # add cancellation of its own on top
     y = np.random.default_rng(11).standard_normal(500)
     f1 = multiscale_field(y, CFG500, W)
-    f2 = multiscale_field(y + 3.25, CFG500, W)
-    assert f2.g[f2.valid] == pytest.approx(f1.g[f1.valid], abs=1e-8)
+    f2 = multiscale_field(y + offset, CFG500, W)
+    assert np.array_equal(f2.valid, f1.valid)
+    assert f2.g[f2.valid] == pytest.approx(f1.g[f1.valid], rel=1e-14 * (1 + offset))
+
+
+def test_mean_shift_leaves_field_unchanged():
+    assert_shift_invariant(3.25)
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6, 1e8])
+def test_large_mean_shift_leaves_field_unchanged(offset):
+    assert_shift_invariant(offset)
 
 
 def test_field_peaks_near_step():
@@ -148,12 +174,16 @@ def test_field_peaks_near_step():
 def test_field_requires_minimum_length():
     with pytest.raises(ValueError):
         multiscale_field(np.zeros(40), CFG500, W)
+    cfg = ScaleConfig(s_lower=0.1, s_upper=0.2, s_star=0.05)
+    y = np.random.default_rng(12).standard_normal(MIN_N)
+    assert multiscale_field(y, cfg, W).n == MIN_N
+    with pytest.raises(ValueError, match="too short"):
+        multiscale_field(y[:-1], cfg, W)
 
 
 def test_field_maximum_matches_null_batch_statistic():
     # calibration simulates the same self-normalized maximum detection uses
-    ymat = np.random.default_rng(13).standard_normal((4, 500))
-    sn, _, _ = _max_g_batch(ymat, CFG500, W)
-    for row, expect in zip(ymat, sn):
-        f = multiscale_field(row, CFG500, W)
-        assert np.max(f.g[f.valid]) == pytest.approx(expect, rel=1e-12)
+    sn, _, _ = _gauss_max_stats(500, CFG500, W, 100, 13)
+    for r in (0, 1, 57, 99):
+        f = multiscale_field(rng_for(13, r).standard_normal(500), CFG500, W)
+        assert np.max(f.g[f.valid]) == pytest.approx(sn[r], rel=1e-12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpscan.field import ScaleConfig
+from jumpscan.field import MIN_N, ScaleConfig
 from jumpscan.simulate import (
     DetectorSpec,
     MEAN_MODELS,
@@ -25,6 +25,12 @@ def test_reproducibility_bitwise():
     y2, t2 = gen_series(sc)
     assert np.array_equal(y1, y2)
     assert t1 == t2
+
+
+def test_generator_minimum_length():
+    assert len(gen_series(PlsScenario.make("I", "GS", n=MIN_N, seed=1))[0]) == MIN_N
+    with pytest.raises(ValueError, match="at least"):
+        gen_series(PlsScenario.make("I", "GS", n=MIN_N - 1, seed=1))
 
 
 def test_different_seeds_differ():

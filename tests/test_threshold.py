@@ -1,4 +1,3 @@
-import math
 import time
 
 import numpy as np
@@ -13,7 +12,6 @@ from jumpscan.threshold import (
     critical_value,
     fs_correction,
     tail_constants,
-    upper_bound_cv,
 )
 
 W = builtin_wstar()
@@ -86,26 +84,10 @@ def test_critical_value_near_half_is_root_or_loud():
         critical_value(0.6, tiny)  # outside the (0, 0.5) contract
 
 
-def test_upper_bound_examples():
-    want = math.sqrt(2.0 / 3.0 * math.log(500) - 2.0 * math.log(0.05))
-    assert upper_bound_cv(0.05, 500, -1.0 / 3.0, 1.0) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        upper_bound_cv(0.05, 500, +0.1, 1.0)
-
-
-def test_upper_bound_dominates_calibrated():
-    # calibrate the prefactor on the first row, then check it bounds the rest
-    tc0 = tail_constants(W, TABLE[0][1], TABLE[0][2])
-    m_cal = critical_value(0.05, tc0) / upper_bound_cv(0.05, 500, -1.0 / 3.0, 1.0)
-    for n, sl, su, _, c05, _ in TABLE:
-        bound = upper_bound_cv(0.05, n, -1.0 / 3.0, 1.2 * m_cal)
-        tc = tail_constants(W, sl, su)
-        assert bound >= critical_value(0.05, tc) / 1.2
-
-
 def test_bootstrap_reproducible_and_b_consistent():
     cfg = ScaleConfig(0.061, 0.167, 0.03)
     a = bootstrap_cv(0.10, 300, cfg, W, B=400, seed=5)
+    _gauss_max_stats.cache_clear()  # simulate again rather than read the cache
     b = bootstrap_cv(0.10, 300, cfg, W, B=400, seed=5)
     assert a == b
     c = bootstrap_cv(0.10, 300, cfg, W, B=800, seed=5)
@@ -127,6 +109,17 @@ def test_null_maxima_thread_count_invariance():
     for a, b in zip(one, many):
         assert a.shape == (300,)
         assert np.array_equal(a, b)
+
+
+def test_null_simulation_runs_once_per_configuration():
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    _gauss_max_stats.cache_clear()
+    cvs = [bootstrap_cv(a, 300, cfg, W, B=200, seed=4) for a in (0.10, 0.05, 0.01)]
+    assert cvs[0] <= cvs[1] <= cvs[2]
+    info = _gauss_max_stats.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for arr in _gauss_max_stats(300, cfg, W, 200, 4, 1):
+        assert not arr.flags.writeable
 
 
 def test_bootstrap_requires_min_replicates():
