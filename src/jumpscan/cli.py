@@ -269,7 +269,7 @@ def cmd_montecarlo(args) -> int:
     stem = args.scenario.replace(":", "_")
     path = out / f"mc_{stem}_n{args.n}.csv"
     keys = ["hit_rate", "mean_m", "mad_raw", "mad_refined", "mad_raw_median",
-            "mad_refined_median", "mean_runtime"]
+            "mad_refined_median", "mean_runtime", "mean_gen_runtime"]
     with open(path, "w") as fh:
         fh.write(",".join(keys) + "\n")
         fh.write(",".join(f"{metrics[k]:.6g}" for k in keys) + "\n")

@@ -144,6 +144,27 @@ def _resolve_threshold(mode: str, alpha, cfg, filt, n, seed, fs_correct, threads
     return c * k, k
 
 
+def _level_peaks(
+    field_: MultiscaleField,
+    cfg: ScaleConfig,
+    filt,
+    alpha,
+    threshold_mode: str = "analytic",
+    fs_correct: bool = True,
+    seed: int = 0,
+    threads: int = 1,
+):
+    """First stage only: (raw jumps, threshold, fs factor) of ``field_`` at ``alpha``.
+
+    ``detect_pipeline`` refines these; the tuning sweeps, which read only
+    the raw peaks, stop here.
+    """
+    c, k = _resolve_threshold(
+        threshold_mode, alpha, cfg, filt, field_.n, seed, fs_correct, threads
+    )
+    return mjpd_detect(field_, c), c, k
+
+
 def detect_pipeline(
     y,
     cfg: ScaleConfig,
@@ -170,10 +191,9 @@ def detect_pipeline(
     y = np.asarray(y, dtype=float)
     if field_ is None:
         field_ = multiscale_field(y, cfg, filt)
-    c, k = _resolve_threshold(
-        threshold_mode, alpha, cfg, filt, len(y), seed, fs_correct, threads
+    raw, c, k = _level_peaks(
+        field_, cfg, filt, alpha, threshold_mode, fs_correct, seed, threads
     )
-    raw = mjpd_detect(field_, c)
     zz = cfg.s_lower if z is None else z
     refined = cusum_refine(y, raw, z=zz, alpha_tilde=alpha_tilde)
     is_fixed = threshold_mode.startswith("fixed")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +54,19 @@ def scale_grid(n: int, cfg: ScaleConfig) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=256)
+def _band_count(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray:
+    """Read-only number of band indices a <= |i-j| <= b in [lo, hi), per j."""
+    j = np.arange(n)
+    right = np.clip(j + b + 1, lo, hi) - np.clip(j + a, lo, hi)
+    left = np.clip(j - a + 1, lo, hi) - np.clip(j - b, lo, hi)
+    count = right + left
+    if np.any(count == 0):
+        raise ValueError("empty denominator band")
+    count.flags.writeable = False
+    return count
+
+
 def _band_mean_sq(hvals: np.ndarray, a: int, b: int, lo: int, hi: int) -> np.ndarray:
     """Rolling two-sided band average of hvals**2 over a <= |i-j| <= b.
 
@@ -60,22 +74,27 @@ def _band_mean_sq(hvals: np.ndarray, a: int, b: int, lo: int, hi: int) -> np.nda
     range carry boundary-truncated filter windows: they would leak level
     shifts into the denominator, and under a large offset their size would
     cancel the band differences, so they stay out of the cumulative sum.
+    That sum is padded with its edge values, b + lo on the left and
+    n + b - hi on the right, so each of the four band ends, clamped to
+    [lo, hi), is one contiguous slice of it.
     """
     m, n = hvals.shape
     if a > b:
         raise ValueError("empty denominator band: s_star too close to s_upper")
+    count = _band_count(n, a, b, lo, hi)
+    width = hi - lo
+    pad_lo, pad_hi = b + lo, n + b - hi
+    Q = np.empty((m, pad_lo + width + 1 + pad_hi))
+    Q[:, : pad_lo + 1] = 0.0
     inner = hvals[:, lo:hi]
-    Q = np.zeros((m, hi - lo + 1))
-    np.cumsum(inner * inner, axis=1, out=Q[:, 1:])
-    j = np.arange(n)
-    rl = np.clip(j + a, lo, hi) - lo
-    rh = np.clip(j + b + 1, lo, hi) - lo
-    ll = np.clip(j - b, lo, hi) - lo
-    lh = np.clip(j - a + 1, lo, hi) - lo
-    total = (Q[:, rh] - Q[:, rl]) + (Q[:, lh] - Q[:, ll])
-    count = (rh - rl) + (lh - ll)
-    if np.any(count == 0):
-        raise ValueError("empty denominator band")
+    np.cumsum(inner * inner, axis=1, out=Q[:, pad_lo + 1 : pad_lo + width + 1])
+    Q[:, pad_lo + width + 1 :] = Q[:, pad_lo + width : pad_lo + width + 1]
+
+    def at(shift):  # Q at clip(j + shift, lo, hi) - lo, for j = 0 .. n-1
+        start = pad_lo - lo + shift
+        return Q[:, start : start + n]
+
+    total = (at(b + 1) - at(a)) + (at(1 - a) - at(-b))
     return total / count
 
 
@@ -88,14 +107,27 @@ def _xi_band(hstar: np.ndarray, s_star: float, s_upper: float) -> np.ndarray:
     return _band_mean_sq(hstar, a, b, lo=hw, hi=n - hw)
 
 
-def _moving_average(x: np.ndarray, half: int) -> np.ndarray:
-    """Centered moving average along the last axis, truncated at the edges."""
-    n = x.shape[-1]
-    Q = np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+@lru_cache(maxsize=256)
+def _window_count(n: int, half: int) -> np.ndarray:
+    """Read-only number of points of the centered window of radius ``half`` in [0, n)."""
     j = np.arange(n)
-    lo = np.clip(j - half, 0, n)
-    hi = np.clip(j + half + 1, 0, n)
-    return (Q[..., hi] - Q[..., lo]) / (hi - lo)
+    count = np.clip(j + half + 1, 0, n) - np.clip(j - half, 0, n)
+    count.flags.writeable = False
+    return count
+
+
+def _moving_average(x: np.ndarray, half: int) -> np.ndarray:
+    """Centered moving average along the last axis, truncated at the edges.
+
+    The cumulative sum is padded with its edge values, ``half`` on each
+    side, so both window ends are contiguous slices of it.
+    """
+    n = x.shape[-1]
+    Q = np.empty(x.shape[:-1] + (n + 1 + 2 * half,))
+    Q[..., : half + 1] = 0.0
+    np.cumsum(x, axis=-1, out=Q[..., half + 1 : half + 1 + n])
+    Q[..., half + 1 + n :] = Q[..., half + n : half + n + 1]
+    return (Q[..., 2 * half + 1 :] - Q[..., :n]) / _window_count(n, half)
 
 
 def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:

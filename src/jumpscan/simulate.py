@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _MA_TRUNC = 40  # |coef| <= 0.4 => truncation error below 1e-15
+# values per block of stacked lag terms (1 MB of float64)
+_TERM_BUDGET = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +59,40 @@ def _innovations(kind: str, size: int, rng) -> np.ndarray:
 # recursions
 # ---------------------------------------------------------------------------
 
+def _ordered_sum(first: np.ndarray, count: int, term) -> np.ndarray:
+    """first + term_1 + ... + term_count, added one after another.
+
+    Term j is zero before index j; ``term(j, out)`` writes the rest of it,
+    ``out[j:]``, into a zeroed row.  Terms are stacked as rows of a buffer
+    of at most ``_TERM_BUDGET`` values and summed by ``np.add.reduce`` over
+    axis 0, which adds the rows in order; the running sum is carried into
+    the first row of the next block.  The result is therefore bitwise equal
+    to ``acc += term_j`` for j = 1, ..., count.
+    """
+    total = len(first)
+    rows = max(2, min(count + 1, _TERM_BUDGET // total))
+    terms = np.empty((rows, total))
+    acc = first
+    for start in range(1, count + 1, rows - 1):
+        block = range(start, min(start + rows - 1, count + 1))
+        terms[0] = acc
+        terms[1:] = 0.0
+        for k, j in enumerate(block, start=1):
+            term(j, terms[k])
+        acc = np.add.reduce(terms[: len(block) + 1], axis=0)
+    return acc
+
+
 def _tv_arma(n, burn_in, phi, theta, kind, rng):
     """Time-varying ARMA(1,1): x_i = phi(t_i) x_{i-1} + e_i + theta(t_i) e_{i-1}.
 
     Evaluated through the unrolled product expansion so the whole path is
     vectorized; ``burn_in`` pre-sample innovations serve the expansion,
-    with t clamped at the first in-sample point.
+    with t clamped at the first in-sample point.  With u_i = e_i +
+    theta(t_i) e_{i-1}, x_i = u_i + sum_j amp_j(i) u_{i-j}, where amp_j(i)
+    = phi(t_i) ... phi(t_{i-j+1}) is updated in place lag by lag.  The lag
+    terms are stacked and summed in lag order (``_ordered_sum``), the order
+    of a running ``acc += amp_j * u_{. - j}``.
     """
     total = burn_in + n
     t = np.maximum(np.arange(-burn_in, n) + 1, 1) / n
@@ -73,17 +103,16 @@ def _tv_arma(n, burn_in, phi, theta, kind, rng):
     pmax = float(np.max(np.abs(ph)))
     if pmax >= 0.999:
         raise ValueError("AR coefficient too close to 1")
-    lag = total if pmax == 0 else min(total, int(math.ceil(math.log(1e-15) / math.log(max(pmax, 1e-6)))))
-    acc = u.copy()
+    if pmax == 0:
+        return u[burn_in:]
+    lag = min(total, int(math.ceil(math.log(1e-15) / math.log(max(pmax, 1e-6)))))
     amp = np.ones(total)
-    for j in range(1, lag + 1):
-        shifted_phi = np.concatenate([np.ones(j - 1), ph[: total - (j - 1)]]) if j > 1 else ph
-        amp = amp * shifted_phi
-        if not np.any(amp):
-            break
-        su = np.concatenate([np.zeros(j), u[: total - j]])
-        acc += amp * su
-    return acc[burn_in:]
+
+    def term(j, out):
+        amp[j - 1 :] *= ph[: total - j + 1]
+        np.multiply(amp[j:], u[: total - j], out=out[j:])
+
+    return _ordered_sum(u, lag, term)[burn_in:]
 
 
 def _tv_ma(n, burn_in, base, amp, kind, rng, trunc=_MA_TRUNC):
@@ -92,13 +121,13 @@ def _tv_ma(n, burn_in, base, amp, kind, rng, trunc=_MA_TRUNC):
     t = np.maximum(np.arange(-burn_in, n) + 1, 1) / n
     eta = _innovations(kind, total, rng)
     b = base(t)
-    acc = np.zeros(total)
     bp = np.ones(total)
-    for j in range(trunc + 1):
-        se = np.concatenate([np.zeros(j), eta[: total - j]]) if j else eta
-        acc += bp * se
-        bp = bp * b
-    return (amp(t) * acc)[burn_in:]
+
+    def term(j, out):
+        np.multiply(bp, b, out=bp)
+        np.multiply(bp[j:], eta[: total - j], out=out[j:])
+
+    return (amp(t) * _ordered_sum(eta, trunc, term))[burn_in:]
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +393,7 @@ def _mc_one(task):
     """One replicate; module-level so process pools can ship it."""
     sc, det, seed, r = task
     filt = det.filter()
+    t_gen = time.perf_counter()
     y, truth = _generate(sc, rng_for(seed, r))
     t0 = time.perf_counter()
     if det.alpha == "auto":
@@ -382,7 +412,29 @@ def _mc_one(task):
     if hit and truth:
         mad_raw = _mad([j.location for j in res.jumps_raw], truth)
         mad_ref = _mad(res.jumps_refined, truth)
-    return res.count, hit, mad_raw, mad_ref, dt
+    return res.count, hit, mad_raw, mad_ref, dt, t0 - t_gen
+
+
+def _pool_rows(tasks, threads):
+    """Replicates on ``threads`` forked workers; None if no worker can start.
+
+    Only a failure to start the pool falls back to the serial loop: an
+    error inside a replicate propagates, as it does serially.
+    """
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        ctx = mp.get_context("fork")
+    except ValueError:  # no fork on this platform
+        return None
+    with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
+        try:
+            # submits every chunk, which starts the workers
+            rows = pool.map(_mc_one, tasks, chunksize=max(1, len(tasks) // (threads * 4)))
+        except OSError:  # the workers could not be forked
+            return None
+        return list(rows)
 
 
 def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0, threads: int = 1):
@@ -394,6 +446,8 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     independent streams derived from (seed, r), so results do not depend on
     the worker count.  Parallel replicates run in forked worker processes
     (the replicate loop is small-array bound, which starves thread pools).
+    ``mean_runtime`` is the mean detection time per replicate and
+    ``mean_gen_runtime`` the mean time spent generating its series.
     """
     if R < 50:
         raise ValueError("R must be at least 50")
@@ -405,17 +459,7 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
         fs_correction(sc.n, det.cfg, filt)  # warm the cache before forking
 
     tasks = [(sc, det, seed, r) for r in range(R)]
-    rows = None
-    if threads > 1:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            ctx = mp.get_context("fork")
-            with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-                rows = list(pool.map(_mc_one, tasks, chunksize=max(1, R // (threads * 4))))
-        except (ValueError, OSError):
-            rows = None
+    rows = _pool_rows(tasks, threads) if threads > 1 else None
     if rows is None:
         rows = [_mc_one(t) for t in tasks]
     counts = np.array([r[0] for r in rows])
@@ -423,6 +467,7 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     mr = np.array([r[2] for r in rows])
     mf = np.array([r[3] for r in rows])
     times = np.array([r[4] for r in rows])
+    gen_times = np.array([r[5] for r in rows])
     got = ~np.isnan(mr)
     return {
         "hit_rate": float(np.mean(hits)),
@@ -432,6 +477,7 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
         "mad_raw_median": float(np.nanmedian(mr)) if got.any() else math.nan,
         "mad_refined_median": float(np.nanmedian(mf)) if got.any() else math.nan,
         "mean_runtime": float(np.mean(times)),
+        "mean_gen_runtime": float(np.mean(gen_times)),
         "counts": counts.tolist(),
         "mad_raw_all": mr.tolist(),
         "mad_refined_all": mf.tolist(),

@@ -78,8 +78,14 @@ def alpha_of_c(c: float, tc: TailConstants) -> float:
     ) * e + gauss_tail
 
 
+@lru_cache(maxsize=1024)
 def critical_value(alpha: float, tc: TailConstants) -> float:
-    """Root of ``alpha_of_c(c) = alpha`` by bisection on [0.5, 12]."""
+    """Root of ``alpha_of_c(c) = alpha`` by bisection on [0.5, 12].
+
+    A pure function of the level and the frozen constants, so it is
+    memoised: every detection at a recurring (alpha, constants) pair skips
+    the 33-step bisection.
+    """
     if not (0.0 < alpha < 0.5):
         raise ValueError("alpha must lie in (0, 0.5)")
     lo, hi = 0.5, 12.0

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detect import detect_pipeline
+from .detect import _level_peaks, detect_pipeline
 from .convolve import filter_bank
 from .field import MultiscaleField, ScaleConfig, _xi_band, multiscale_field
 from .threshold import TailConstants, critical_value, fs_correction, tail_constants
@@ -41,6 +41,9 @@ _TOP_SCALE_FRACTION = 0.85
 
 # values ranked per block by the sliding median (8 MB of float64)
 _MEDIAN_BLOCK = 1 << 20
+
+# detect_pipeline keywords that act only on the refinement stage
+_REFINE_KW = ("z", "alpha_tilde")
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -70,9 +73,16 @@ def _sliding_median(x: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
+def _raw_peaks(field_, cfg, filt, alpha, threads, detect_kw) -> list:
+    """``detect_pipeline(...).jumps_raw`` on a built field, without the refinement."""
+    kw = {k: v for k, v in detect_kw.items() if k not in _REFINE_KW}
+    return _level_peaks(field_, cfg, filt, alpha, threads=threads, **kw)[0]
+
+
 @lru_cache(maxsize=128)
 def _cv_grid(tc: TailConstants) -> np.ndarray:
-    return np.array([critical_value(q, tc) for q in _DEFAULT_Q_GRID])
+    # memoised as a whole, so its 300 levels bypass the per-level cache
+    return np.array([critical_value.__wrapped__(q, tc) for q in _DEFAULT_Q_GRID])
 
 
 @dataclass
@@ -189,8 +199,8 @@ def select_scales(
             if sl >= su or su > 0.5:
                 continue
             cfg = ScaleConfig(s_lower=float(sl), s_upper=float(su), s_star=s_star_for(float(sl)))
-            res = detect_pipeline(y, cfg, filt, alpha=alpha, threads=threads, **detect_kw)
-            counts[i, j] = res.count
+            field_ = multiscale_field(y, cfg, filt)
+            counts[i, j] = len(_raw_peaks(field_, cfg, filt, alpha, threads, detect_kw))
     if np.all(counts < 0):
         raise ValueError("no admissible (s_lower, s_upper) pair in the grids")
 
@@ -301,9 +311,10 @@ def auto_detect(
 
     Missing scales come from the minimum-volatility selections.  With
     ``alpha='auto'`` the level is chosen by :func:`select_alpha` and, when
-    a first pass finds jumps, refreshed once with the detected count and
-    estimated minimum jump size before the final pass.  The field is built
-    once; every pass reuses it and ``info["field"]`` returns it.
+    the raw peaks of a moderate-level probe include candidate jumps,
+    refreshed once with their count and implied minimum jump size.  One
+    detection pass then runs at the settled level.  The field is built
+    once; the probe and the pass reuse it and ``info["field"]`` returns it.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -335,18 +346,17 @@ def auto_detect(
     )
     sigma = sigma_sup_estimate(field_)
     a1 = select_alpha(n, cfg.s_upper, sigma, tc, filt, correction=corr)
-    res = detect_pipeline(y, cfg, filt, alpha=a1, threads=threads, field_=field_, **detect_kw)
     info["alpha_round1"] = a1
+    level = a1
     # Refinement round.  The rule-of-thumb size guess is pessimistic, so the
     # first level is usually the grid minimum.  A moderate-level probe
     # always runs to enumerate candidate jumps (the strict pass may see only
     # the strongest), and the weakest candidate peak implies the size guess
     # for the final level.  Marginal probe peaks imply a marginal size,
     # which drives the selected level back to the grid minimum, so a
-    # spurious probe hit cannot survive to the final pass.
-    probe = detect_pipeline(
-        y, cfg, filt, alpha=max(0.10, a1), threads=threads, field_=field_, **detect_kw
-    )
+    # spurious probe hit cannot survive to the final pass.  The probe needs
+    # only the raw peaks.
+    probe = _raw_peaks(field_, cfg, filt, max(0.10, a1), threads, detect_kw)
     # Candidates barely above the probe threshold are as likely noise
     # exceedances as jumps; letting them drive the size guess would push
     # the level to the grid ceiling.  A candidate informs the final level
@@ -357,7 +367,7 @@ def auto_detect(
     bar = critical_value(_CANDIDATE_BAR_LEVEL, tc) * corr
     strong = [
         j
-        for j in probe.jumps_raw
+        for j in probe
         if j.g_value >= bar or j.scale >= _TOP_SCALE_FRACTION * cfg.s_upper
     ]
     if strong:
@@ -373,10 +383,10 @@ def auto_detect(
             correction=corr,
         )
         if abs(a2 - a1) > 1e-12:
-            res = detect_pipeline(
-                y, cfg, filt, alpha=a2, threads=threads, field_=field_, **detect_kw
-            )
+            level = a2
         info["alpha_round2"] = a2
+    # the level is settled: one full pass, refinement included
+    res = detect_pipeline(y, cfg, filt, alpha=level, threads=threads, field_=field_, **detect_kw)
     info["alpha"] = res.alpha
     info["sigma_sup"] = sigma
     return res, info

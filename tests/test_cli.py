@@ -221,10 +221,12 @@ def test_montecarlo_smoke(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "hit_rate" in out
+    assert "mean_gen_runtime" in out
     table = list(tmp_path.glob("mc_*.csv"))[0].read_text().splitlines()
     header = table[0].split(",")
     row = dict(zip(header, table[1].split(",")))
     assert float(row["hit_rate"]) >= 0.9
+    assert float(row["mean_gen_runtime"]) > 0
 
 
 def test_tune_reports_sweeps_and_auto_detection(step_csv, capsys):

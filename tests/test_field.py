@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpscan.convolve import filter_bank
-from jumpscan.field import MIN_N, ScaleConfig, _field_batch, _xi_band, multiscale_field, scale_grid
+from jumpscan.field import (
+    MIN_N,
+    ScaleConfig,
+    _band_count,
+    _band_mean_sq,
+    _field_batch,
+    _moving_average,
+    _xi_band,
+    multiscale_field,
+    scale_grid,
+)
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import _gauss_max_stats
 from jumpscan.util import rng_for
@@ -69,6 +79,53 @@ def raw_xi(y, cfg):
     """Unsmoothed band average of the squared s_star responses of ``y``."""
     (hstar,) = filter_bank(np.asarray(y, dtype=float)[None, :], [cfg.s_star], W)
     return _xi_band(hstar, cfg.s_star, cfg.s_upper)[0]
+
+
+def band_mean_sq_gather(hvals, a, b, lo, hi):
+    """Band average by clamped-index gathers, kept as an oracle."""
+    m, n = hvals.shape
+    inner = hvals[:, lo:hi]
+    Q = np.zeros((m, hi - lo + 1))
+    np.cumsum(inner * inner, axis=1, out=Q[:, 1:])
+    j = np.arange(n)
+    rl = np.clip(j + a, lo, hi) - lo
+    rh = np.clip(j + b + 1, lo, hi) - lo
+    ll = np.clip(j - b, lo, hi) - lo
+    lh = np.clip(j - a + 1, lo, hi) - lo
+    total = (Q[:, rh] - Q[:, rl]) + (Q[:, lh] - Q[:, ll])
+    return total / ((rh - rl) + (lh - ll))
+
+
+def moving_average_gather(x, half):
+    """Moving average by clamped-index gathers, kept as an oracle."""
+    n = x.shape[-1]
+    Q = np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+    j = np.arange(n)
+    lo = np.clip(j - half, 0, n)
+    hi = np.clip(j + half + 1, 0, n)
+    return (Q[..., hi] - Q[..., lo]) / (hi - lo)
+
+
+@pytest.mark.parametrize("n", [137, 500, 2000])
+@pytest.mark.parametrize("shift, amp", [(0.0, 1.0), (1e9, 1.0), (0.0, 1e100), (0.0, 1e-100)])
+def test_band_and_moving_average_match_gathers_bitwise(n, shift, amp):
+    rng = np.random.default_rng(n)
+    h = shift + amp * rng.standard_normal((3, n))
+    for s_star, s_upper in ((0.03, 0.167), (0.015, 0.1), (0.1, 0.45)):
+        a, b, hw = math.ceil(n * s_star), math.floor(n * s_upper), math.floor(n * s_star)
+        for lo, hi in ((hw, n - hw), (0, n)):
+            got = _band_mean_sq(h, a, b, lo, hi)
+            assert np.array_equal(got, band_mean_sq_gather(h, a, b, lo, hi))
+            assert np.array_equal(_moving_average(got, b), moving_average_gather(got, b))
+    for half in (1, 7, n - 1, n, 3 * n):
+        assert np.array_equal(_moving_average(h, half), moving_average_gather(h, half))
+        assert np.array_equal(_moving_average(h[0], half), moving_average_gather(h[0], half))
+
+
+def test_band_counts_cached_read_only():
+    count = _band_count(500, 15, 83, 15, 485)
+    assert _band_count(500, 15, 83, 15, 485) is count
+    assert not count.flags.writeable
 
 
 def test_xi_scales_quadratically():

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from jumpscan import simulate
 from jumpscan.field import MIN_N, ScaleConfig
 from jumpscan.simulate import (
     DetectorSpec,
@@ -14,9 +16,80 @@ from jumpscan.simulate import (
     increasing_jump_size,
     monte_carlo,
     _innovations,
+    _mc_one,
     _plsn_g,
+    _tv_arma,
 )
 from jumpscan.util import rng_for
+
+
+# Lag-by-lag forms of the two expansions, kept as oracles: the generators
+# must reproduce them bit for bit.
+
+def _tv_arma_loop(n, burn_in, phi, theta, kind, rng):
+    total = burn_in + n
+    t = np.maximum(np.arange(-burn_in, n) + 1, 1) / n
+    eta = _innovations(kind, total + 1, rng)
+    th = theta(t) if callable(theta) else np.full(total, float(theta))
+    ph = phi(t) if callable(phi) else np.full(total, float(phi))
+    u = eta[1:] + th * eta[:-1]
+    pmax = float(np.max(np.abs(ph)))
+    if pmax >= 0.999:
+        raise ValueError("AR coefficient too close to 1")
+    lag = total if pmax == 0 else min(total, int(math.ceil(math.log(1e-15) / math.log(max(pmax, 1e-6)))))
+    acc = u.copy()
+    amp = np.ones(total)
+    for j in range(1, lag + 1):
+        shifted_phi = np.concatenate([np.ones(j - 1), ph[: total - (j - 1)]]) if j > 1 else ph
+        amp = amp * shifted_phi
+        if not np.any(amp):
+            break
+        su = np.concatenate([np.zeros(j), u[: total - j]])
+        acc += amp * su
+    return acc[burn_in:]
+
+
+def _tv_ma_loop(n, burn_in, base, amp, kind, rng, trunc=40):
+    total = burn_in + n
+    t = np.maximum(np.arange(-burn_in, n) + 1, 1) / n
+    eta = _innovations(kind, total, rng)
+    b = base(t)
+    acc = np.zeros(total)
+    bp = np.ones(total)
+    for j in range(trunc + 1):
+        se = np.concatenate([np.zeros(j), eta[: total - j]]) if j else eta
+        acc += bp * se
+        bp = bp * b
+    return (amp(t) * acc)[burn_in:]
+
+
+def _noise_draws(name, sizes=(100, 500, 2000), seeds=range(3)):
+    return {(n, s): NOISE_MODELS[name](n, 500, rng_for(s)) for n in sizes for s in seeds}
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_MODELS))
+def test_noise_expansions_match_lag_loops_bitwise(name, monkeypatch):
+    fast = _noise_draws(name)
+    monkeypatch.setattr(simulate, "_tv_arma", _tv_arma_loop)
+    monkeypatch.setattr(simulate, "_tv_ma", _tv_ma_loop)
+    for key, x in _noise_draws(name).items():
+        assert np.array_equal(fast[key], x), key
+
+
+@pytest.mark.parametrize("budget", [1, 4000])
+def test_blocked_lag_sum_matches_lag_loops_bitwise(budget, monkeypatch):
+    # blocks of 2 and of 4 rows: the running sum is carried across blocks
+    whole = {name: _noise_draws(name, sizes=(500,)) for name in ("PLS", "LSnP", "PLSnP")}
+    monkeypatch.setattr(simulate, "_TERM_BUDGET", budget)
+    for name, draws in whole.items():
+        for key, x in _noise_draws(name, sizes=(500,)).items():
+            assert np.array_equal(draws[key], x), (name, key)
+
+
+def test_zero_ar_coefficient_is_the_ma_part():
+    for theta in (0.0, 0.5, lambda t: 0.2 - 0.4 * t):
+        x = _tv_arma(300, 500, 0.0, theta, "t8", rng_for(4))
+        assert np.array_equal(x, _tv_arma_loop(300, 500, 0.0, theta, "t8", rng_for(4)))
 
 
 def test_reproducibility_bitwise():
@@ -159,6 +232,36 @@ def test_monte_carlo_metrics_and_determinism():
     assert m1["mad_refined"] == m2["mad_refined"]
     assert m1["hit_rate"] >= 0.9
     assert m1["mad_refined"] <= 0.01
+
+
+def test_monte_carlo_auto_level_thread_invariant():
+    det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha="auto")
+    sc = PlsScenario.make("II", "PLS", n=500)
+    m1 = monte_carlo(sc, det, R=50, seed=4)
+    m2 = monte_carlo(sc, det, R=50, seed=4, threads=2)
+    assert m1["counts"] == m2["counts"]
+    np.testing.assert_array_equal(m1["mad_raw_all"], m2["mad_raw_all"])
+    np.testing.assert_array_equal(m1["mad_refined_all"], m2["mad_refined_all"])
+    for m in (m1, m2):
+        assert m["mean_gen_runtime"] > 0 and m["mean_runtime"] > 0
+
+
+_CALLER_PIDS = []
+
+
+def _recording_mc_one(task):
+    _CALLER_PIDS.append(os.getpid())
+    return _mc_one(task)
+
+
+def test_monte_carlo_replicate_error_not_rerun_serially(monkeypatch):
+    # n * s_star = 1.5 < 2: every replicate raises inside its worker
+    det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.003), alpha=0.05, fs_correct=False)
+    monkeypatch.setattr(simulate, "_mc_one", _recording_mc_one)
+    _CALLER_PIDS.clear()
+    with pytest.raises(ValueError, match="n \\* s_star"):
+        monte_carlo(PlsScenario.make("I", "GS", n=500), det, R=50, threads=2)
+    assert _CALLER_PIDS.count(os.getpid()) == 0
 
 
 def test_monte_carlo_requires_enough_reps():

@@ -66,6 +66,17 @@ def test_critical_values_reference_rows(row):
     assert critical_value(0.01, tc) == pytest.approx(c01, abs=0.01)
 
 
+def test_critical_value_memoised_same_floats():
+    for n, sl, su, *_ in TABLE:
+        tc = tail_constants(W, sl, su)
+        for alpha in (0.10, 0.05, 0.01):
+            first = critical_value(alpha, tc)
+            assert first == critical_value.__wrapped__(alpha, tc)
+            hits = critical_value.cache_info().hits
+            assert critical_value(alpha, tc) == first
+            assert critical_value.cache_info().hits == hits + 1
+
+
 def test_critical_value_monotone_in_alpha():
     tc = tail_constants(W, 0.031, 0.100)
     c10, c05, c01 = (critical_value(a, tc) for a in (0.10, 0.05, 0.01))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from jumpscan import detect
+from jumpscan.detect import detect_pipeline
 from jumpscan.field import ScaleConfig, multiscale_field
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import critical_value, tail_constants
@@ -215,3 +217,30 @@ def test_auto_detect_full_auto_scales():
     res, info = auto_detect(y, W, cfg=None, alpha="auto")
     assert res.count == 1
     assert "scale_report" in info and "s_star_report" in info
+
+
+@pytest.mark.parametrize("cfg", [ScaleConfig(0.061, 0.167, 0.03), None], ids=["fixed", "auto"])
+def test_auto_detect_refines_once(cfg, monkeypatch):
+    calls = []
+    refine = detect.cusum_refine
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(detect, "cusum_refine", counting)
+    auto_detect(step_series(600, 4.0, seed=31), W, cfg=cfg, alpha="auto")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "y",
+    [step_series(500, 2.5, seed=29), step_series(500, 1.2, seed=3),
+     np.random.default_rng(8).standard_normal(500)],
+    ids=["strong-step", "weak-step", "null"],
+)
+def test_auto_detect_is_one_pipeline_pass_at_its_level(y):
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    res, info = auto_detect(y, W, cfg=cfg, alpha="auto")
+    again = detect_pipeline(y, cfg, W, alpha=info["alpha"], field_=info["field"])
+    assert res.to_dict() == again.to_dict()
