@@ -9,8 +9,9 @@ and after the second-stage refinement.
 import argparse
 import math
 
+from jumpscan.cli import LADDER
 from jumpscan.field import ScaleConfig
-from jumpscan.simulate import DetectorSpec, PlsScenario, monte_carlo
+from jumpscan.simulate import DetectorSpec, PlsScenario, increasing_jump_count, monte_carlo
 
 
 def main():
@@ -36,14 +37,11 @@ def main():
 
     print("\ngrowing-sample scenario (jump count rises, sizes shrink):")
     print("n      jumps  hit     mad_raw   mad_refined")
-    ladder = {1000: (0.043, 0.125), 2000: (0.031, 0.100)}
-    for n, (sl, su) in ladder.items():
+    for n, sl, su in (row for row in LADDER if row[0] in (1000, 2000)):
         cfg = ScaleConfig(sl, su, (1 / 6) * n ** -0.5 * math.log(n) ** 0.5)
         det = DetectorSpec(cfg=cfg, alpha="auto")
         sc = PlsScenario.make("increasing", n=n)
         m = monte_carlo(sc, det, R=args.reps, seed=11, threads=args.threads)
-        from jumpscan.simulate import increasing_jump_count
-
         print(
             f"{n:<6} {increasing_jump_count(n):<6d} {m['hit_rate']:<7.3f} "
             f"{m['mad_raw']:<9.5f} {m['mad_refined']:.5f}"

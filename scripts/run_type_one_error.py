@@ -8,10 +8,9 @@ flags at least one jump, at nominal levels 5% and 10%.
 import argparse
 import math
 
+from jumpscan.cli import LADDER
 from jumpscan.field import ScaleConfig
 from jumpscan.simulate import DetectorSpec, PlsScenario, monte_carlo
-
-LADDER = {500: (0.061, 0.167), 1000: (0.043, 0.125), 2000: (0.031, 0.100)}
 
 
 def main():
@@ -21,9 +20,10 @@ def main():
     ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
+    scales = {n: (sl, su) for n, sl, su in LADDER}
     print("n      alpha  rejection")
     for n in (int(s) for s in args.sizes.split(",")):
-        sl, su = LADDER[n]
+        sl, su = scales[n]
         cfg = ScaleConfig(sl, su, (1 / 6) * n ** -0.5 * math.log(n) ** 0.5)
         for alpha in (0.05, 0.10):
             det = DetectorSpec(cfg=cfg, alpha=alpha)

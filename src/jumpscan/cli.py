@@ -86,6 +86,19 @@ def _threads(args) -> int:
     return int(env) if env else 1
 
 
+def _alpha(text):
+    """The level of ``--alpha``: ``"auto"`` or a float in (0, 0.5)."""
+    if text == "auto":
+        return text
+    try:
+        alpha = float(text)
+    except ValueError:
+        alpha = math.nan
+    if not 0 < alpha < 0.5:
+        raise CliError(f"alpha must be 'auto' or lie in (0, 0.5), got {text!r}", EXIT_BAD_CONFIG)
+    return alpha
+
+
 def _filter_from(args):
     if getattr(args, "filter", None):
         try:
@@ -132,12 +145,8 @@ def cmd_detect(args) -> int:
     threads = _threads(args)
     filt = _filter_from(args)
     y = _read_series(args.input)
+    alpha = _alpha(args.alpha)
     cfg = _scales_from(args, y, filt)
-    alpha = args.alpha
-    if alpha != "auto":
-        alpha = float(alpha)
-        if not (0 < alpha < 0.5):
-            raise CliError("alpha must lie in (0, 0.5)", EXIT_BAD_CONFIG)
     try:
         res, info = auto_detect(
             y, filt, cfg=cfg, alpha=alpha,
@@ -250,20 +259,23 @@ def cmd_simulate(args) -> int:
 def cmd_montecarlo(args) -> int:
     threads = _threads(args)
     filt = _filter_from(args)
+    alpha = _alpha(args.alpha)
     sc = _parse_scenario(args.scenario, args.n, 0)
     if args.s_lower is None or args.s_upper is None:
         row = min(LADDER, key=lambda r: abs(r[0] - args.n))
         sl, su = row[1], row[2]
     else:
         sl, su = args.s_lower, args.s_upper
-    s_star = args.s_star
-    if s_star is None:
-        probe, _ = gen_series(PlsScenario.make(sc.mean_model, sc.noise_model, n=args.n, seed=args.seed, d=sc.d))
-        s_star = select_s_star(probe, sl, su, filt).chosen
-    cfg = ScaleConfig(sl, su, s_star, args.grid_eps)
-    det = DetectorSpec(cfg=cfg, alpha=args.alpha if args.alpha == "auto" else float(args.alpha),
-                       threshold_mode=args.threshold, filt=filt)
-    metrics = monte_carlo(sc, det, R=args.reps, seed=args.seed, threads=threads)
+    try:
+        s_star = args.s_star
+        if s_star is None:
+            probe, _ = gen_series(PlsScenario.make(sc.mean_model, sc.noise_model, n=args.n, seed=args.seed, d=sc.d))
+            s_star = select_s_star(probe, sl, su, filt).chosen
+        cfg = ScaleConfig(sl, su, s_star, args.grid_eps)
+        det = DetectorSpec(cfg=cfg, alpha=alpha, threshold_mode=args.threshold, filt=filt)
+        metrics = monte_carlo(sc, det, R=args.reps, seed=args.seed, threads=threads)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = args.scenario.replace(":", "_")

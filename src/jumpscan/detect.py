@@ -127,7 +127,16 @@ def cusum_refine(y, raw: list, z: float, alpha_tilde: float = 1.5) -> list:
     return refined
 
 
+def _fs_factor(mode: str, n: int, cfg, filt, fs_correct: bool, alpha=None) -> float:
+    """Finite-sample threshold factor: 1 for ``fixed:C`` or with ``fs_correct`` off."""
+    if not fs_correct or mode.startswith("fixed"):
+        return 1.0
+    return fs_correction(n, cfg, filt, alpha=alpha)
+
+
 def _resolve_threshold(mode: str, alpha, cfg, filt, n, seed, fs_correct, threads):
+    if mode.startswith("fixed"):
+        return float(mode.split(":", 1)[1]), 1.0
     if mode == "analytic":
         tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
         c = critical_value(alpha, tc)
@@ -135,18 +144,14 @@ def _resolve_threshold(mode: str, alpha, cfg, filt, n, seed, fs_correct, threads
         parts = mode.split(":")
         B = int(parts[1]) if len(parts) > 1 and parts[1] else 2000
         c = bootstrap_cv(alpha, n, cfg, filt, B=B, seed=seed, threads=threads)
-    elif mode.startswith("fixed"):
-        c = float(mode.split(":", 1)[1])
-        return c, 1.0
     else:
         raise ValueError(f"unknown threshold mode {mode!r}")
-    k = fs_correction(n, cfg, filt, alpha=alpha) if fs_correct else 1.0
+    k = _fs_factor(mode, n, cfg, filt, fs_correct, alpha=alpha)
     return c * k, k
 
 
 def _level_peaks(
     field_: MultiscaleField,
-    cfg: ScaleConfig,
     filt,
     alpha,
     threshold_mode: str = "analytic",
@@ -156,11 +161,12 @@ def _level_peaks(
 ):
     """First stage only: (raw jumps, threshold, fs factor) of ``field_`` at ``alpha``.
 
+    The threshold is built for the field's own configuration and length.
     ``detect_pipeline`` refines these; the tuning sweeps, which read only
     the raw peaks, stop here.
     """
     c, k = _resolve_threshold(
-        threshold_mode, alpha, cfg, filt, field_.n, seed, fs_correct, threads
+        threshold_mode, alpha, field_.cfg, filt, field_.n, seed, fs_correct, threads
     )
     return mjpd_detect(field_, c), c, k
 
@@ -191,9 +197,7 @@ def detect_pipeline(
     y = np.asarray(y, dtype=float)
     if field_ is None:
         field_ = multiscale_field(y, cfg, filt)
-    raw, c, k = _level_peaks(
-        field_, cfg, filt, alpha, threshold_mode, fs_correct, seed, threads
-    )
+    raw, c, k = _level_peaks(field_, filt, alpha, threshold_mode, fs_correct, seed, threads)
     zz = cfg.s_lower if z is None else z
     refined = cusum_refine(y, raw, z=zz, alpha_tilde=alpha_tilde)
     is_fixed = threshold_mode.startswith("fixed")

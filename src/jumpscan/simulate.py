@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import detect_pipeline
+from .detect import _fs_factor
 from .field import MIN_N, ScaleConfig
 from .tuning import auto_detect
 from .util import rng_for
@@ -396,16 +396,10 @@ def _mc_one(task):
     t_gen = time.perf_counter()
     y, truth = _generate(sc, rng_for(seed, r))
     t0 = time.perf_counter()
-    if det.alpha == "auto":
-        res, _ = auto_detect(
-            y, filt, cfg=det.cfg, alpha="auto",
-            threshold_mode=det.threshold_mode, fs_correct=det.fs_correct, z=det.z,
-        )
-    else:
-        res = detect_pipeline(
-            y, det.cfg, filt, alpha=float(det.alpha),
-            threshold_mode=det.threshold_mode, fs_correct=det.fs_correct, z=det.z,
-        )
+    res, _ = auto_detect(
+        y, filt, cfg=det.cfg, alpha=det.alpha,
+        threshold_mode=det.threshold_mode, fs_correct=det.fs_correct, z=det.z,
+    )
     dt = time.perf_counter() - t0
     hit = res.count == len(truth)
     mad_raw = mad_ref = math.nan
@@ -452,11 +446,8 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     if R < 50:
         raise ValueError("R must be at least 50")
 
-    filt = det.filter()
-    if det.fs_correct and not det.threshold_mode.startswith("fixed"):
-        from .threshold import fs_correction
-
-        fs_correction(sc.n, det.cfg, filt)  # warm the cache before forking
+    # warm the calibration cache before forking
+    _fs_factor(det.threshold_mode, sc.n, det.cfg, det.filter(), det.fs_correct)
 
     tasks = [(sc, det, seed, r) for r in range(R)]
     rows = _pool_rows(tasks, threads) if threads > 1 else None

@@ -161,6 +161,8 @@ def bootstrap_cv(
     the sparse scale grid, and records the maximum of |H|/sqrt(u11) over
     every time point; the (1 - alpha) order statistic is returned.
     """
+    if not (0.0 < alpha < 0.5):
+        raise ValueError("alpha must lie in (0, 0.5)")
     if B < 100:
         raise ValueError("B must be at least 100")
     _, _, full = _gauss_max_stats(n, cfg, filt, B, seed, threads)

@@ -17,10 +17,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detect import _level_peaks, detect_pipeline
+from .detect import _fs_factor, _level_peaks, detect_pipeline
 from .convolve import filter_bank
 from .field import MultiscaleField, ScaleConfig, _xi_band, multiscale_field
-from .threshold import TailConstants, critical_value, fs_correction, tail_constants
+from .threshold import TailConstants, critical_value, tail_constants
 
 __all__ = [
     "MvReport",
@@ -41,9 +41,6 @@ _TOP_SCALE_FRACTION = 0.85
 
 # values ranked per block by the sliding median (8 MB of float64)
 _MEDIAN_BLOCK = 1 << 20
-
-# detect_pipeline keywords that act only on the refinement stage
-_REFINE_KW = ("z", "alpha_tilde")
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -71,12 +68,6 @@ def _sliding_median(x: np.ndarray, w: int) -> np.ndarray:
         part = windows[start : start + block]
         out[start : start + block] = np.partition(part, lo, axis=1)[:, lo]
     return out
-
-
-def _raw_peaks(field_, cfg, filt, alpha, threads, detect_kw) -> list:
-    """``detect_pipeline(...).jumps_raw`` on a built field, without the refinement."""
-    kw = {k: v for k, v in detect_kw.items() if k not in _REFINE_KW}
-    return _level_peaks(field_, cfg, filt, alpha, threads=threads, **kw)[0]
 
 
 @lru_cache(maxsize=128)
@@ -156,8 +147,9 @@ def select_scales(
     grid1=None,
     grid2=None,
     k3: int = 2,
+    threshold_mode: str = "analytic",
+    seed: int = 0,
     threads: int = 1,
-    **detect_kw,
 ) -> MvReport:
     """Pick (s_lower, s_upper) where the detected jump count is most stable.
 
@@ -166,12 +158,11 @@ def select_scales(
     (2 k3 + 1)^2 neighborhood, restricted to admissible pairs.  Ties break
     toward the smallest s_lower + s_upper.
 
-    The sweep skips the finite-sample threshold calibration by default
-    (counts shift almost uniformly across pairs, and calibrating every
-    candidate pair would dominate the cost); pass ``fs_correct=True`` to
-    override.
+    The sweep never applies the finite-sample threshold factor: counts
+    shift almost uniformly across pairs, and calibrating every candidate
+    pair would dominate the cost.  Only the raw peaks are counted, so no
+    refinement runs.
     """
-    detect_kw.setdefault("fs_correct", False)
     y = np.asarray(y, dtype=float)
     n = len(y)
     if grid1 is None:
@@ -200,7 +191,8 @@ def select_scales(
                 continue
             cfg = ScaleConfig(s_lower=float(sl), s_upper=float(su), s_star=s_star_for(float(sl)))
             field_ = multiscale_field(y, cfg, filt)
-            counts[i, j] = len(_raw_peaks(field_, cfg, filt, alpha, threads, detect_kw))
+            raw, _, _ = _level_peaks(field_, filt, alpha, threshold_mode, False, seed, threads)
+            counts[i, j] = len(raw)
     if np.all(counts < 0):
         raise ValueError("no admissible (s_lower, s_upper) pair in the grids")
 
@@ -305,11 +297,17 @@ def auto_detect(
     cfg: ScaleConfig | None = None,
     alpha: float | str = "auto",
     threads: int = 1,
-    **detect_kw,
+    threshold_mode: str = "analytic",
+    fs_correct: bool = True,
+    seed: int = 0,
+    z: float | None = None,
+    alpha_tilde: float = 1.5,
 ):
     """Detection with data-driven tuning; returns (result, info).
 
-    Missing scales come from the minimum-volatility selections.  With
+    The keywords after ``threads`` are those of :func:`detect_pipeline`, with
+    its defaults.  Missing scales come from the minimum-volatility
+    selections, which sweep without the finite-sample factor.  With
     ``alpha='auto'`` the level is chosen by :func:`select_alpha` and, when
     the raw peaks of a moderate-level probe include candidate jumps,
     refreshed once with their count and implied minimum jump size.  One
@@ -320,7 +318,9 @@ def auto_detect(
     n = len(y)
     info = {}
     if cfg is None:
-        pair = select_scales(y, filt, alpha=0.05, k3=2, threads=threads, **detect_kw)
+        pair = select_scales(
+            y, filt, alpha=0.05, threshold_mode=threshold_mode, seed=seed, threads=threads
+        )
         sl, su = pair.chosen
         star = select_s_star(y, sl, su, filt)
         cfg = ScaleConfig(s_lower=sl, s_upper=su, s_star=star.chosen)
@@ -330,20 +330,19 @@ def auto_detect(
     field_ = multiscale_field(y, cfg, filt)
     info["field"] = field_
 
-    if alpha != "auto":
-        res = detect_pipeline(
-            y, cfg, filt, alpha=float(alpha), threads=threads, field_=field_, **detect_kw
+    def level_pass(level):
+        return detect_pipeline(
+            y, cfg, filt, alpha=level, threshold_mode=threshold_mode, z=z,
+            alpha_tilde=alpha_tilde, fs_correct=fs_correct, seed=seed, threads=threads,
+            field_=field_,
         )
+
+    if alpha != "auto":
         info["alpha"] = float(alpha)
-        return res, info
+        return level_pass(float(alpha)), info
 
     tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
-    corr = (
-        fs_correction(n, cfg, filt)
-        if detect_kw.get("fs_correct", True)
-        and not str(detect_kw.get("threshold_mode", "analytic")).startswith("fixed")
-        else 1.0
-    )
+    corr = _fs_factor(threshold_mode, n, cfg, filt, fs_correct)
     sigma = sigma_sup_estimate(field_)
     a1 = select_alpha(n, cfg.s_upper, sigma, tc, filt, correction=corr)
     info["alpha_round1"] = a1
@@ -356,7 +355,9 @@ def auto_detect(
     # which drives the selected level back to the grid minimum, so a
     # spurious probe hit cannot survive to the final pass.  The probe needs
     # only the raw peaks.
-    probe = _raw_peaks(field_, cfg, filt, max(0.10, a1), threads, detect_kw)
+    probe, _, _ = _level_peaks(
+        field_, filt, max(0.10, a1), threshold_mode, fs_correct, seed, threads
+    )
     # Candidates barely above the probe threshold are as likely noise
     # exceedances as jumps; letting them drive the size guess would push
     # the level to the grid ceiling.  A candidate informs the final level
@@ -386,7 +387,7 @@ def auto_detect(
             level = a2
         info["alpha_round2"] = a2
     # the level is settled: one full pass, refinement included
-    res = detect_pipeline(y, cfg, filt, alpha=level, threads=threads, field_=field_, **detect_kw)
+    res = level_pass(level)
     info["alpha"] = res.alpha
     info["sigma_sup"] = sigma
     return res, info

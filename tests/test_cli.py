@@ -207,6 +207,23 @@ def test_simulate_writes_series_and_truth(tmp_path, capsys):
     assert sidecar["jumps"][0]["location"] == pytest.approx(1 / 3)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--alpha", "abc"],
+        ["montecarlo", "--alpha", "0.7"],
+        ["montecarlo", "--alpha", "abc"],
+        ["montecarlo", "--s-lower", "0.3", "--s-upper", "0.2"],
+    ],
+    ids=["detect-alpha-abc", "mc-alpha-0.7", "mc-alpha-abc", "mc-scales-inverted"],
+)
+def test_bad_level_or_scales_exit_3(argv, step_csv, tmp_path, capsys):
+    where = ["--input", str(step_csv)] if argv[0] == "detect" else ["--scenario", "I:GS", "--reps", "50"]
+    assert main([argv[0], *where, "--out", str(tmp_path), *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_simulate_bad_scenario_exit_3(tmp_path):
     assert main(["simulate", "--scenario", "bogus:GS", "--out", str(tmp_path)]) == 3
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from jumpscan.detect import RawJump, cusum_refine, detect_pipeline, mjpd_detect
+from jumpscan.detect import RawJump, _fs_factor, cusum_refine, detect_pipeline, mjpd_detect
 from jumpscan.field import MultiscaleField, ScaleConfig, multiscale_field
 from jumpscan.filters import builtin_wstar, construct_beta_filter
+from jumpscan.threshold import fs_correction
 
 W = builtin_wstar()
 CFG = ScaleConfig(s_lower=0.061, s_upper=0.167, s_star=0.03)
@@ -222,3 +223,14 @@ def test_pipeline_runs_with_beta_filter():
     res = detect_pipeline(y, CFG, beta, alpha=0.05)
     assert res.count == 1
     assert abs(res.jumps_refined[0] - 0.5) <= 0.01
+
+
+@pytest.mark.parametrize("mode", ["analytic", "bootstrap:200", "fixed:4.0"])
+def test_fs_factor_is_the_one_threshold_rule(mode):
+    assert _fs_factor(mode, 500, CFG, W, fs_correct=False, alpha=0.05) == 1.0
+    k = _fs_factor(mode, 500, CFG, W, fs_correct=True, alpha=0.05)
+    if mode.startswith("fixed"):
+        assert k == 1.0
+    else:
+        assert k == fs_correction(500, CFG, W, alpha=0.05)
+        assert _fs_factor(mode, 500, CFG, W, fs_correct=True) == fs_correction(500, CFG, W)

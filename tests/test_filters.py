@@ -255,3 +255,15 @@ def test_filter_json_roundtrip(tmp_path):
     back = load_filter(p)
     assert back.order_k == w.order_k
     assert back.coeffs == pytest.approx(w.coeffs, abs=0)
+
+
+@pytest.mark.parametrize("k, q", [(2, 30), (2, 50), (4, 200)])
+def test_beta_moments_against_quadrature(k, q):
+    f, _ = construct_beta_filter(k, q)
+    m = f.moments()
+    u11_q = 2 * quad(lambda x: f.eval(x) ** 2, 0, 1, limit=400)[0]
+    w11_q = 2 * quad(lambda x: f.deriv_at(x) ** 2, 0, 1, limit=400)[0]
+    w22_q = 2 * quad(lambda x: (f.deriv_at(x) * x + f.eval(x) / 2) ** 2, 0, 1, limit=400)[0]
+    assert m.u11 == pytest.approx(u11_q, rel=1e-9)
+    assert m.w11 == pytest.approx(w11_q, rel=1e-9)
+    assert m.w22 == pytest.approx(w22_q, rel=1e-9)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jumpscan import simulate
+from jumpscan.detect import detect_pipeline
 from jumpscan.field import MIN_N, ScaleConfig
 from jumpscan.simulate import (
     DetectorSpec,
@@ -16,6 +17,7 @@ from jumpscan.simulate import (
     increasing_jump_size,
     monte_carlo,
     _innovations,
+    _mad,
     _mc_one,
     _plsn_g,
     _tv_arma,
@@ -262,6 +264,18 @@ def test_monte_carlo_replicate_error_not_rerun_serially(monkeypatch):
     with pytest.raises(ValueError, match="n \\* s_star"):
         monte_carlo(PlsScenario.make("I", "GS", n=500), det, R=50, threads=2)
     assert _CALLER_PIDS.count(os.getpid()) == 0
+
+
+def test_replicate_at_a_fixed_level_is_detect_pipeline():
+    sc = PlsScenario.make("II", "PLS", n=500)
+    det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05, z=0.05)
+    for r in range(3):
+        count, hit, mad_raw, mad_ref, _, _ = _mc_one((sc, det, 6, r))
+        y, truth = simulate._generate(sc, rng_for(6, r))
+        res = detect_pipeline(y, det.cfg, det.filter(), alpha=0.05, z=0.05)
+        assert hit and count == res.count == len(truth)
+        assert mad_raw == _mad([j.location for j in res.jumps_raw], truth)
+        assert mad_ref == _mad(res.jumps_refined, truth)
 
 
 def test_monte_carlo_requires_enough_reps():

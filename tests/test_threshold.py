@@ -138,6 +138,12 @@ def test_bootstrap_requires_min_replicates():
         bootstrap_cv(0.05, 300, ScaleConfig(0.061, 0.167, 0.03), W, B=50)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 1.0])
+def test_bootstrap_rejects_levels_outside_open_half(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0.5\)"):
+        bootstrap_cv(alpha, 300, ScaleConfig(0.061, 0.167, 0.03), W, B=200)
+
+
 def test_fs_correction_cached_and_at_least_one():
     cfg = ScaleConfig(0.061, 0.167, 0.03)
     t0 = time.perf_counter()

@@ -244,3 +244,30 @@ def test_auto_detect_is_one_pipeline_pass_at_its_level(y):
     res, info = auto_detect(y, W, cfg=cfg, alpha="auto")
     again = detect_pipeline(y, cfg, W, alpha=info["alpha"], field_=info["field"])
     assert res.to_dict() == again.to_dict()
+
+
+@pytest.mark.parametrize("kw", [{}, {"fs_correct": True}], ids=["default", "fs_correct"])
+def test_auto_detect_calibrates_only_its_chosen_scales(kw, monkeypatch):
+    cfgs = []
+    calibrate = detect.fs_correction
+
+    def recording(n, cfg, *args, **kwargs):
+        cfgs.append(cfg)
+        return calibrate(n, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(detect, "fs_correction", recording)
+    _, info = auto_detect(step_series(600, 4.0, seed=31), W, cfg=None, alpha="auto", **kw)
+    assert cfgs
+    assert all(cfg == info["config"] for cfg in cfgs)
+
+
+def test_auto_detect_fixed_level_is_detect_pipeline():
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    y = step_series(500, 2.5, seed=29)
+    kw = dict(alpha=0.05, z=0.04, alpha_tilde=1.0)
+    res, info = auto_detect(y, W, cfg=cfg, **kw)
+    again = detect_pipeline(y, cfg, W, **kw)
+    assert info["alpha"] == 0.05
+    assert [j.location for j in res.jumps_raw] == [j.location for j in again.jumps_raw]
+    assert res.jumps_refined == again.jumps_refined
+    assert res.threshold == again.threshold
