@@ -83,7 +83,10 @@ def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("JUMPSCAN_THREADS")
-    return int(env) if env else 1
+    try:
+        return int(env) if env else 1
+    except ValueError as exc:
+        raise CliError(f"JUMPSCAN_THREADS must be an integer, got {env!r}", EXIT_BAD_CONFIG) from exc
 
 
 def _alpha(text):

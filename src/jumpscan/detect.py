@@ -127,48 +127,44 @@ def cusum_refine(y, raw: list, z: float, alpha_tilde: float = 1.5) -> list:
     return refined
 
 
+def _parse_threshold(mode: str):
+    """Read ``analytic | bootstrap[:B] | fixed:C`` as (kind, B or C or None).
+
+    Anything else raises ``ValueError``.
+    """
+    kind, sep, arg = mode.partition(":")
+    try:
+        if kind == "analytic" and not sep:
+            return kind, None
+        if kind == "bootstrap":
+            return kind, int(arg) if sep else 2000
+        if kind == "fixed" and not math.isnan(float(arg)):
+            return kind, float(arg)
+    except ValueError:
+        pass
+    raise ValueError(
+        f"bad threshold mode {mode!r}: expected analytic, bootstrap[:B] or fixed:C"
+    )
+
+
 def _fs_factor(mode: str, n: int, cfg, filt, fs_correct: bool, alpha=None) -> float:
     """Finite-sample threshold factor: 1 for ``fixed:C`` or with ``fs_correct`` off."""
-    if not fs_correct or mode.startswith("fixed"):
+    if _parse_threshold(mode)[0] == "fixed" or not fs_correct:
         return 1.0
     return fs_correction(n, cfg, filt, alpha=alpha)
 
 
 def _resolve_threshold(mode: str, alpha, cfg, filt, n, seed, fs_correct, threads):
-    if mode.startswith("fixed"):
-        return float(mode.split(":", 1)[1]), 1.0
-    if mode == "analytic":
-        tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
-        c = critical_value(alpha, tc)
-    elif mode.startswith("bootstrap"):
-        parts = mode.split(":")
-        B = int(parts[1]) if len(parts) > 1 and parts[1] else 2000
-        c = bootstrap_cv(alpha, n, cfg, filt, B=B, seed=seed, threads=threads)
+    """(threshold, finite-sample factor, mode kind) for ``cfg`` and length ``n``."""
+    kind, value = _parse_threshold(mode)
+    if kind == "fixed":
+        return value, 1.0, kind
+    if kind == "analytic":
+        c = critical_value(alpha, tail_constants(filt, cfg.s_lower, cfg.s_upper))
     else:
-        raise ValueError(f"unknown threshold mode {mode!r}")
+        c = bootstrap_cv(alpha, n, cfg, filt, B=value, seed=seed, threads=threads)
     k = _fs_factor(mode, n, cfg, filt, fs_correct, alpha=alpha)
-    return c * k, k
-
-
-def _level_peaks(
-    field_: MultiscaleField,
-    filt,
-    alpha,
-    threshold_mode: str = "analytic",
-    fs_correct: bool = True,
-    seed: int = 0,
-    threads: int = 1,
-):
-    """First stage only: (raw jumps, threshold, fs factor) of ``field_`` at ``alpha``.
-
-    The threshold is built for the field's own configuration and length.
-    ``detect_pipeline`` refines these; the tuning sweeps, which read only
-    the raw peaks, stop here.
-    """
-    c, k = _resolve_threshold(
-        threshold_mode, alpha, field_.cfg, filt, field_.n, seed, fs_correct, threads
-    )
-    return mjpd_detect(field_, c), c, k
+    return c * k, k, kind
 
 
 def detect_pipeline(
@@ -186,10 +182,12 @@ def detect_pipeline(
 ) -> DetectionResult:
     """Full two-stage detection: field -> threshold -> peaks -> refinement.
 
-    ``threshold_mode`` is one of ``analytic``, ``bootstrap[:B]`` or
-    ``fixed:C``.  ``z`` defaults to ``cfg.s_lower`` (refinement half-window
-    rule of thumb).  Analytic and bootstrap thresholds are multiplied by
-    the finite-sample denominator factor unless ``fs_correct`` is off.
+    ``threshold_mode`` is one of ``analytic``, ``bootstrap[:B]`` (B null
+    replicates, default 2000) or ``fixed:C``; anything else raises
+    ``ValueError``.  ``z`` defaults to ``cfg.s_lower`` (refinement
+    half-window rule of thumb).  Analytic and bootstrap thresholds are
+    multiplied by the finite-sample denominator factor unless
+    ``fs_correct`` is off.
     A precomputed ``field_`` for the same (y, cfg, filt) is reused as is.
     ``threads`` parallelizes the bootstrap null replicates and does not
     change the result.
@@ -197,15 +195,17 @@ def detect_pipeline(
     y = np.asarray(y, dtype=float)
     if field_ is None:
         field_ = multiscale_field(y, cfg, filt)
-    raw, c, k = _level_peaks(field_, filt, alpha, threshold_mode, fs_correct, seed, threads)
+    c, k, kind = _resolve_threshold(
+        threshold_mode, alpha, field_.cfg, filt, field_.n, seed, fs_correct, threads
+    )
+    raw = mjpd_detect(field_, c)
     zz = cfg.s_lower if z is None else z
     refined = cusum_refine(y, raw, z=zz, alpha_tilde=alpha_tilde)
-    is_fixed = threshold_mode.startswith("fixed")
     return DetectionResult(
         jumps_raw=raw,
         jumps_refined=refined,
         threshold=float(c),
-        alpha=None if is_fixed else float(alpha),
+        alpha=None if kind == "fixed" else float(alpha),
         config={
             "n": len(y),
             "s_lower": cfg.s_lower,

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detect import _fs_factor, _level_peaks, detect_pipeline
+from .detect import _fs_factor, _parse_threshold, _resolve_threshold, detect_pipeline, mjpd_detect
 from .convolve import filter_bank
 from .field import MultiscaleField, ScaleConfig, _xi_band, multiscale_field
 from .threshold import TailConstants, critical_value, tail_constants
@@ -32,7 +32,10 @@ __all__ = [
 ]
 
 
-_DEFAULT_Q_GRID = np.arange(0.001, 0.301, 0.001)
+_Q_GRID = np.arange(0.001, 0.301, 0.001)
+
+# the scale sweep counts raw peaks above this level's analytic critical value
+_SWEEP_LEVEL = 0.05
 
 # probe candidates below this level's threshold do not inform the level choice
 _CANDIDATE_BAR_LEVEL = 0.02
@@ -73,7 +76,7 @@ def _sliding_median(x: np.ndarray, w: int) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _cv_grid(tc: TailConstants) -> np.ndarray:
     # memoised as a whole, so its 300 levels bypass the per-level cache
-    return np.array([critical_value.__wrapped__(q, tc) for q in _DEFAULT_Q_GRID])
+    return np.array([critical_value.__wrapped__(q, tc) for q in _Q_GRID])
 
 
 @dataclass
@@ -140,27 +143,18 @@ def select_s_star(
     )
 
 
-def select_scales(
-    y,
-    filt,
-    alpha: float = 0.05,
-    grid1=None,
-    grid2=None,
-    k3: int = 2,
-    threshold_mode: str = "analytic",
-    seed: int = 0,
-    threads: int = 1,
-) -> MvReport:
+def select_scales(y, filt, grid1=None, grid2=None, k3: int = 2) -> MvReport:
     """Pick (s_lower, s_upper) where the detected jump count is most stable.
 
-    Runs the full detector on every admissible candidate pair; the score of
-    an interior pair is the sample variance of the counts over its
-    (2 k3 + 1)^2 neighborhood, restricted to admissible pairs.  Ties break
-    toward the smallest s_lower + s_upper.
+    Counts the raw peaks of every admissible candidate pair above its
+    analytic critical value at level 0.05; the score of an interior pair is
+    the sample variance of the counts over its (2 k3 + 1)^2 neighborhood,
+    restricted to admissible pairs.  Ties break toward the smallest
+    s_lower + s_upper.
 
-    The sweep never applies the finite-sample threshold factor: counts
-    shift almost uniformly across pairs, and calibrating every candidate
-    pair would dominate the cost.  Only the raw peaks are counted, so no
+    The sweep reads no threshold mode and applies no finite-sample factor:
+    counts shift almost uniformly across pairs, and simulating or
+    calibrating every candidate pair would dominate the cost.  No
     refinement runs.
     """
     y = np.asarray(y, dtype=float)
@@ -190,9 +184,8 @@ def select_scales(
             if sl >= su or su > 0.5:
                 continue
             cfg = ScaleConfig(s_lower=float(sl), s_upper=float(su), s_star=s_star_for(float(sl)))
-            field_ = multiscale_field(y, cfg, filt)
-            raw, _, _ = _level_peaks(field_, filt, alpha, threshold_mode, False, seed, threads)
-            counts[i, j] = len(raw)
+            c = critical_value(_SWEEP_LEVEL, tail_constants(filt, cfg.s_lower, cfg.s_upper))
+            counts[i, j] = len(mjpd_detect(multiscale_field(y, cfg, filt), c))
     if np.all(counts < 0):
         raise ValueError("no admissible (s_lower, s_upper) pair in the grids")
 
@@ -230,7 +223,6 @@ def select_alpha(
     m_guess: float | None = None,
     delta_guess: float | None = None,
     correction: float = 1.0,
-    q_grid=None,
 ) -> float:
     """Detection level minimizing a mis-identification bound.
 
@@ -254,16 +246,11 @@ def select_alpha(
     )
     if not math.isfinite(xi_n):
         raise ValueError("non-finite detectability ratio")
-    if q_grid is None:
-        q_grid = _DEFAULT_Q_GRID
-        cvals = _cv_grid(tc) * correction
-    else:
-        q_grid = np.asarray(q_grid)
-        cvals = np.array([critical_value(q, tc) for q in q_grid]) * correction
+    cvals = _cv_grid(tc) * correction
     hit = _norm_cdf(cvals - xi_n) - _norm_cdf(-cvals - xi_n)
     miss = 1.0 - (1.0 - hit) ** m_guess
-    delta = q_grid + miss
-    return float(q_grid[int(np.argmin(delta))])
+    delta = _Q_GRID + miss
+    return float(_Q_GRID[int(np.argmin(delta))])
 
 
 def sigma_sup_estimate(field_: MultiscaleField) -> float:
@@ -306,21 +293,23 @@ def auto_detect(
     """Detection with data-driven tuning; returns (result, info).
 
     The keywords after ``threads`` are those of :func:`detect_pipeline`, with
-    its defaults.  Missing scales come from the minimum-volatility
-    selections, which sweep without the finite-sample factor.  With
-    ``alpha='auto'`` the level is chosen by :func:`select_alpha` and, when
-    the raw peaks of a moderate-level probe include candidate jumps,
-    refreshed once with their count and implied minimum jump size.  One
-    detection pass then runs at the settled level.  The field is built
-    once; the probe and the pass reuse it and ``info["field"]`` returns it.
+    its defaults; a malformed ``threshold_mode`` raises ``ValueError``
+    before any work.  Missing scales come from the minimum-volatility
+    selections, which read only analytic critical values, whatever the
+    threshold mode.  With ``alpha='auto'`` the level is chosen by
+    :func:`select_alpha` and, when the raw peaks of a moderate-level probe
+    include candidate jumps, refreshed once with their count and implied
+    minimum jump size.  Only the probe and the final detection pass use
+    ``threshold_mode``; the pass runs at the settled level.  The field is
+    built once; the probe and the pass reuse it and ``info["field"]``
+    returns it.
     """
+    _parse_threshold(threshold_mode)
     y = np.asarray(y, dtype=float)
     n = len(y)
     info = {}
     if cfg is None:
-        pair = select_scales(
-            y, filt, alpha=0.05, threshold_mode=threshold_mode, seed=seed, threads=threads
-        )
+        pair = select_scales(y, filt)
         sl, su = pair.chosen
         star = select_s_star(y, sl, su, filt)
         cfg = ScaleConfig(s_lower=sl, s_upper=su, s_star=star.chosen)
@@ -355,9 +344,10 @@ def auto_detect(
     # which drives the selected level back to the grid minimum, so a
     # spurious probe hit cannot survive to the final pass.  The probe needs
     # only the raw peaks.
-    probe, _, _ = _level_peaks(
-        field_, filt, max(0.10, a1), threshold_mode, fs_correct, seed, threads
+    c, _, _ = _resolve_threshold(
+        threshold_mode, max(0.10, a1), cfg, filt, n, seed, fs_correct, threads
     )
+    probe = mjpd_detect(field_, c)
     # Candidates barely above the probe threshold are as likely noise
     # exceedances as jumps; letting them drive the size guess would push
     # the level to the grid ceiling.  A candidate informs the final level

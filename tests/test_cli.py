@@ -150,6 +150,21 @@ def test_detect_bad_config_exit_3(step_csv, tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("mode", ["fixed", "fixed:", "fixedfoo:3", "analytic:1", "bootstrap:abc"])
+def test_detect_malformed_threshold_exit_3(mode, step_csv, tmp_path, capsys):
+    # automatic scales: the mode is checked before the scale sweep
+    assert main(["detect", "--input", str(step_csv), "--out", str(tmp_path), "--threshold", mode]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "threshold mode" in err
+
+
+def test_detect_bad_threads_env_exit_3(step_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("JUMPSCAN_THREADS", "abc")
+    assert main(["detect", "--input", str(step_csv), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "JUMPSCAN_THREADS" in err
+
+
 def test_detect_seed_reproducible(step_csv, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

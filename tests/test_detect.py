@@ -207,6 +207,16 @@ def test_pipeline_unknown_mode():
         detect_pipeline(step_series(), CFG, W, threshold_mode="magic")
 
 
+@pytest.mark.parametrize(
+    "mode", ["fixed", "fixed:", "fixedfoo:3", "fixed:nan", "analytic:1", "bootstrap:", "bootstrap:abc"]
+)
+def test_malformed_threshold_mode_raises(mode):
+    with pytest.raises(ValueError, match="threshold mode"):
+        detect_pipeline(step_series(), CFG, W, threshold_mode=mode)
+    with pytest.raises(ValueError, match="threshold mode"):
+        _fs_factor(mode, 500, CFG, W, fs_correct=False)
+
+
 def test_pipeline_reuses_prebuilt_field():
     y = step_series(seed=10)
     f = multiscale_field(y, CFG, W)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jumpscan import detect
+from jumpscan import detect, tuning
 from jumpscan.detect import detect_pipeline
 from jumpscan.field import ScaleConfig, multiscale_field
 from jumpscan.filters import builtin_wstar
@@ -65,7 +65,7 @@ def test_select_s_star_report_minimizes():
 
 def test_select_scales_single_big_jump():
     y = step_series(1000, 4.0, seed=1)
-    rep = select_scales(y, W, alpha=0.05, k3=1,
+    rep = select_scales(y, W, k3=1,
                         grid1=np.linspace(0.03, 0.05, 5),
                         grid2=np.linspace(0.09, 0.14, 5))
     sl, su = rep.chosen
@@ -77,7 +77,7 @@ def test_select_scales_tie_break_smallest_sum():
     y = step_series(800, 12.0, seed=2)
     g1 = np.linspace(0.035, 0.055, 5)
     g2 = np.linspace(0.10, 0.15, 5)
-    rep = select_scales(y, W, alpha=0.05, k3=1, grid1=g1, grid2=g2)
+    rep = select_scales(y, W, k3=1, grid1=g1, grid2=g2)
     interior = [(a, b) for a in g1[1:-1] for b in g2[1:-1] if a < b]
     assert rep.chosen == pytest.approx(min(interior, key=lambda p: p[0] + p[1]))
 
@@ -259,6 +259,35 @@ def test_auto_detect_calibrates_only_its_chosen_scales(kw, monkeypatch):
     _, info = auto_detect(step_series(600, 4.0, seed=31), W, cfg=None, alpha="auto", **kw)
     assert cfgs
     assert all(cfg == info["config"] for cfg in cfgs)
+
+
+@pytest.mark.parametrize("mode", ["bootstrap:200", "fixed:4.0"])
+def test_scale_sweep_ignores_the_detection_mode(mode, monkeypatch):
+    # a sweep at fixed:4.0 would pick other scales for this series
+    y = step_series(600, 2.0, seed=31)
+    _, want = auto_detect(y, W, cfg=None, alpha=0.05)
+    cfgs = []
+    simulate = detect.bootstrap_cv
+
+    def recording(alpha, n, cfg, *args, **kwargs):
+        cfgs.append(cfg)
+        return simulate(alpha, n, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(detect, "bootstrap_cv", recording)
+    _, info = auto_detect(y, W, cfg=None, alpha=0.05, threshold_mode=mode)
+    assert info["config"] == want["config"]
+    assert cfgs == ([want["config"]] if mode == "bootstrap:200" else [])
+
+
+@pytest.mark.parametrize("mode", ["fixed", "fixed:", "fixedfoo:3", "analytic:1", "bootstrap:abc"])
+def test_auto_detect_rejects_malformed_mode_before_any_work(mode, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("filtered the series before checking the mode")
+
+    monkeypatch.setattr(tuning, "multiscale_field", no_work)
+    monkeypatch.setattr(tuning, "filter_bank", no_work)
+    with pytest.raises(ValueError, match="threshold mode"):
+        auto_detect(step_series(500, 3.0, seed=4), W, cfg=None, alpha=0.05, threshold_mode=mode)
 
 
 def test_auto_detect_fixed_level_is_detect_pipeline():
