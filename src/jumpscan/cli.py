@@ -80,13 +80,17 @@ def _is_number(s):
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("JUMPSCAN_THREADS")
+    """``--threads``, else ``JUMPSCAN_THREADS``, else 1; a count below 1 is an error."""
+    name, text = "--threads", args.threads
+    if text is None:
+        name, text = "JUMPSCAN_THREADS", os.environ.get("JUMPSCAN_THREADS") or "1"
     try:
-        return int(env) if env else 1
-    except ValueError as exc:
-        raise CliError(f"JUMPSCAN_THREADS must be an integer, got {env!r}", EXIT_BAD_CONFIG) from exc
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise CliError(f"{name} must be an integer >= 1, got {text!r}", EXIT_BAD_CONFIG)
+    return threads
 
 
 def _alpha(text):

@@ -10,15 +10,22 @@ Two concrete representations live here:
 * :class:`JumpPassFilter` -- a polynomial on [0, 1] (monomial coefficients,
   odd extension to [-1, 0)).  This covers the built-in optimal filter and
   everything produced by the Legendre optimizer.
-* :class:`BetaJumpFilter` -- the beta-density construction ``A(x) - D(x)``
-  kept in factored form, because expanding ``x(1-x)^q`` into monomials is
-  numerically hopeless for the large ``q`` the construction wants.
+* :class:`BetaJumpFilter` -- the beta-density construction ``A(x) - D(x)``.
+  It is evaluated in factored form, because expanding ``x(1-x)^q`` into
+  float monomials is numerically hopeless for the large ``q`` the
+  construction wants.
+
+Both classes share one exact moment engine: on [0, 1] each filter is a
+polynomial whose coefficients are exact rationals (binary floats, and for
+the beta filter the integers ``(q+1)(q+2) binom(q, j)``), so the moment
+constants are computed in integer arithmetic and rounded once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -62,15 +69,18 @@ _WSTAR_COEFFS = _project_to_class(_WSTAR_PUBLISHED)
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (Fractions; coefficient lists are ascending powers)
+# exact moments: integer polynomials over one common denominator
 # ---------------------------------------------------------------------------
 
-def _fr(coeffs):
-    return [Fraction(c) for c in coeffs]
+def _int_poly(coeffs):
+    """``(num, den)`` of Python ints with ``coeffs[i] == num[i] / den`` exactly."""
+    fr = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fr))
+    return [f.numerator * (den // f.denominator) for f in fr], den
 
 
 def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -78,13 +88,11 @@ def _polymul(a, b):
     return out
 
 
-def _polyint01(a):
-    """Integral over [0, 1], exact."""
-    return sum(ai / (i + 1) for i, ai in enumerate(a))
-
-
-def _polyder(a):
-    return [i * ai for i, ai in enumerate(a)][1:] or [Fraction(0)]
+def _int01(a, b=None) -> Fraction:
+    """Exact int_0^1 a(x) b(x) dx (default b = a) of integer polynomials."""
+    c = _polymul(a, a if b is None else b)
+    lcm = math.lcm(*range(1, len(c) + 1))
+    return Fraction(sum(ck * (lcm // (k + 1)) for k, ck in enumerate(c)), lcm)
 
 
 @dataclass(frozen=True)
@@ -98,8 +106,37 @@ class FilterMoments:
     sn: float   # f0 / sqrt(int_0^1 W^2)
 
 
+class _ExactMoments:
+    """Exact moment constants for a filter that is a polynomial on [0, 1].
+
+    Subclasses provide ``_exact()``: W on [0, 1] as ascending integer
+    coefficients over one common denominator.  Every float coefficient is
+    an exact binary rational, so the moments below are the exact values
+    for the stored filter, rounded once.
+    """
+
+    def half_moment(self, u: int) -> float:
+        """Exact int_0^1 x^u W(x) dx."""
+        num, den = self._exact()
+        return float(_int01([0] * u + [1], num) / den)
+
+    @lru_cache(maxsize=64)
+    def moments(self) -> FilterMoments:
+        """Exact moment constants; cached, as the filter is immutable."""
+        num, den = self._exact()
+        f0 = _int01([1], num) / den
+        half_u = _int01(num) / den**2
+        if half_u == 0:
+            raise ValueError("zero filter")
+        w11 = 2 * _int01([i * c for i, c in enumerate(num)][1:]) / den**2
+        # x W'(x) + W(x)/2 = sum (2i + 1) num_i x^i / (2 den); the integrand of w22 is even.
+        w22 = 2 * _int01([(2 * i + 1) * c for i, c in enumerate(num)]) / (2 * den) ** 2
+        sn = float(f0) / math.sqrt(float(half_u))
+        return FilterMoments(float(w11), float(w22), float(2 * half_u), float(f0), sn)
+
+
 @dataclass(frozen=True)
-class JumpPassFilter:
+class JumpPassFilter(_ExactMoments):
     """Odd piecewise-polynomial filter on [-1, 1].
 
     ``coeffs[j]`` multiplies ``x**(j+1)`` on [0, 1]; the constant term is
@@ -159,33 +196,9 @@ class JumpPassFilter:
             acc = (acc + self.coeffs[j - 1] / (j + 1)) * x
         return acc * x
 
-    def half_moment(self, u: int) -> float:
-        """Exact int_0^1 x^u W(x) dx."""
-        p = _fr((0,) + self.coeffs)
-        xu = [Fraction(0)] * u + [Fraction(1)]
-        return float(_polyint01(_polymul(xu, p)))
-
-    @lru_cache(maxsize=64)
-    def moments(self) -> FilterMoments:
-        """Exact moment constants; cached, as the filter is immutable."""
-        p = _fr((0,) + self.coeffs)
-        f0 = _polyint01(p)
-        half_u = _polyint01(_polymul(p, p))
-        dp = _polyder(p)
-        w11 = 2 * _polyint01(_polymul(dp, dp))
-        # q(x) = x W'(x) + W(x)/2 on [0, 1]; the integrand of w22 is even.
-        q = [Fraction(0)] + dp
-        q = [
-            (q[i] if i < len(q) else Fraction(0))
-            + Fraction(1, 2) * (p[i] if i < len(p) else Fraction(0))
-            for i in range(max(len(q), len(p)))
-        ]
-        w22 = 2 * _polyint01(_polymul(q, q))
-        u11 = 2 * half_u
-        if u11 == 0:
-            raise ValueError("zero filter")
-        sn = float(f0) / math.sqrt(float(half_u))
-        return FilterMoments(float(w11), float(w22), float(u11), float(f0), sn)
+    def _exact(self):
+        num, den = _int_poly(self.coeffs)
+        return [0] + num, den
 
 
 def builtin_wstar() -> JumpPassFilter:
@@ -361,38 +374,42 @@ def construct_legendre_filter(k: int, n_basis: int) -> JumpPassFilter:
 # beta-density construction (existence of arbitrary-order filters)
 # ---------------------------------------------------------------------------
 
-# scipy.special is imported where the beta construction needs it, so that
-# importing the package loads no scipy module.
+def _beta(a: int, b: int) -> Fraction:
+    """B(a, b) = (a-1)! (b-1)! / (a+b-1)! for positive integers, exact."""
+    return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
 
-def _beta(a: float, b: float) -> float:
-    from scipy.special import betaln
 
-    return math.exp(betaln(a, b))
+def _check_q(q):
+    if not isinstance(q, numbers.Integral):
+        raise ValueError(f"q must be an integer, got {q!r}")
 
 
 @dataclass(frozen=True)
-class BetaJumpFilter:
+class BetaJumpFilter(_ExactMoments):
     """Order-k filter ``W = A - D`` on [0, 1], odd-extended.
 
-    ``A(x) = x (1-x)^q / B(2, q+1)`` carries the unit mass; the small
-    polynomial correction ``D(x) = x^2 (1-x)^2 p(x)`` restores the odd
-    vanishing moments.  Kept factored; see module docstring.
+    ``A(x) = x (1-x)^q / B(2, q+1) = (q+1)(q+2) x (1-x)^q`` carries the unit
+    mass; the small polynomial correction ``D(x) = x^2 (1-x)^2 p(x)``
+    restores the odd vanishing moments.  Evaluation stays factored (see the
+    module docstring); the moments are exact, because for integer ``q`` the
+    filter is a polynomial with exact rational coefficients.
     """
 
     order_k: int
     q: int
     corr: tuple  # coefficients of p(x), ascending
 
+    def __post_init__(self):
+        _check_q(self.q)
+        object.__setattr__(self, "q", int(self.q))
+
     @property
-    def _b2(self) -> float:
-        return _beta(2.0, self.q + 1.0)
+    def _mass(self) -> int:
+        return (self.q + 1) * (self.q + 2)  # 1 / B(2, q+1)
 
     def _dpoly(self):
-        """D(x) as ascending monomial coefficients (degree v + 4, small)."""
-        from numpy.polynomial import polynomial as P
-
-        base = P.polymul([0.0, 0.0, 1.0], [1.0, -2.0, 1.0])  # x^2 (1-x)^2
-        return P.polymul(base, np.asarray(self.corr))
+        """D(x) as descending monomial coefficients (degree v + 4, small)."""
+        return np.convolve([1.0, -2.0, 1.0, 0.0, 0.0], self.corr[::-1])  # x^2 (1-x)^2 p(x)
 
     def eval(self, x: float) -> float:
         return float(self.eval_many(np.array(x)))
@@ -403,104 +420,47 @@ class BetaJumpFilter:
         out = np.zeros_like(ax)
         inside = ax <= 1.0
         z = ax[inside]
-        a = z * (1.0 - z) ** self.q / self._b2
-        d = np.zeros_like(z)
-        for c in reversed(self._dpoly()):
-            d = d * z + c
-        out[inside] = a - d
+        out[inside] = self._mass * z * (1.0 - z) ** self.q - np.polyval(self._dpoly(), z)
         return out * np.sign(x)
 
     def deriv_at(self, x: float) -> float:
-        from numpy.polynomial import polynomial as P
-
-        da = ((1.0 - x) ** (self.q - 1)) * (1.0 - (self.q + 1) * x) / self._b2
-        dd = float(P.polyval(x, P.polyder(self._dpoly())))
-        return da - dd
+        da = self._mass * (1.0 - x) ** (self.q - 1) * (1.0 - (self.q + 1) * x)
+        return da - float(np.polyval(np.polyder(self._dpoly()), x))
 
     def antideriv01(self, x) -> np.ndarray:
-        from numpy.polynomial import polynomial as P
-        from scipy.special import betainc
-
         x = np.asarray(x, dtype=float)
-        ia = betainc(2.0, self.q + 1.0, np.clip(x, 0.0, 1.0))
-        dint = P.polyint(self._dpoly())
-        return ia - P.polyval(x, dint)
+        z = np.clip(x, 0.0, 1.0)
+        # int_0^x A is the Beta(2, q+1) distribution function I_x(2, q+1)
+        ia = 1.0 - (1.0 - z) ** (self.q + 1) * (1.0 + (self.q + 1) * z)
+        return ia - np.polyval(np.polyint(self._dpoly()), x)
 
-    def half_moment(self, u: int) -> float:
-        """int_0^1 x^u W(x) dx via beta integrals (exact up to rounding)."""
-        a_part = _beta(u + 2.0, self.q + 1.0) / self._b2
-        d_part = sum(
-            c * _beta(u + 3.0 + j, 3.0) for j, c in enumerate(self.corr)
-        )
-        return a_part - d_part
-
-    @lru_cache(maxsize=64)
-    def moments(self) -> FilterMoments:
-        """Moment constants from beta integrals; cached, as the filter is immutable."""
-        from numpy.polynomial import polynomial as P
-
-        q = float(self.q)
-        b2 = self._b2
-        f0 = self.half_moment(0)
-        # u11/2 = int_0^1 (A - D)^2
-        int_a2 = _beta(3.0, 2 * q + 1.0) / b2**2
-        int_ad = sum(
-            c * _beta(4.0 + j, q + 3.0) / b2 for j, c in enumerate(self.corr)
-        )
-        dpoly = self._dpoly()
-        int_d2 = float(_polyint01(_fr(_polymul(list(dpoly), list(dpoly)))))
-        half_u = int_a2 - 2 * int_ad + int_d2
-        # A'(x) = (1-x)^(q-1) (1 - (q+1)x) / b2
-        int_da2 = (
-            _beta(1.0, 2 * q - 1.0)
-            - 2 * (q + 1) * _beta(2.0, 2 * q - 1.0)
-            + (q + 1) ** 2 * _beta(3.0, 2 * q - 1.0)
-        ) / b2**2
-        ddpoly = P.polyder(dpoly)
-        int_dadd = sum(
-            c * (_beta(m + 1.0, q) - (q + 1) * _beta(m + 2.0, q)) / b2
-            for m, c in enumerate(ddpoly)
-        )
-        int_dd2 = float(_polyint01(_fr(_polymul(list(ddpoly), list(ddpoly)))))
-        w11 = 2 * (int_da2 - 2 * int_dadd + int_dd2)
-        # x A'(x) + A(x)/2 = x (1-x)^(q-1) (3/2 - (q + 3/2) x) / b2
-        c0, c1 = 1.5, -(q + 1.5)
-        int_phi2 = (
-            c0 * c0 * _beta(3.0, 2 * q - 1.0)
-            + 2 * c0 * c1 * _beta(4.0, 2 * q - 1.0)
-            + c1 * c1 * _beta(5.0, 2 * q - 1.0)
-        ) / b2**2
-        # psi = x D'(x) + D(x)/2 (plain polynomial)
-        psi = P.polyadd(P.polymul([0.0, 1.0], ddpoly), 0.5 * dpoly)
-        int_phipsi = sum(
-            c * (c0 * _beta(m + 2.0, q) + c1 * _beta(m + 3.0, q)) / b2
-            for m, c in enumerate(psi)
-        )
-        int_psi2 = float(_polyint01(_fr(_polymul(list(psi), list(psi)))))
-        w22 = 2 * (int_phi2 - 2 * int_phipsi + int_psi2)
-        return FilterMoments(
-            float(w11), float(w22), float(2 * half_u), float(f0),
-            float(f0) / math.sqrt(half_u),
-        )
+    def _exact(self):
+        p, den = _int_poly(self.corr)
+        w = [-c for c in _polymul([0, 0, 1, -2, 1], p)]  # -D(x) = -x^2 (1-x)^2 p(x)
+        w += [0] * (self.q + 2 - len(w))
+        for j in range(self.q + 1):  # + A(x) = (q+1)(q+2) sum_j (-1)^j binom(q, j) x^(j+1)
+            w[j + 1] += (-1) ** j * math.comb(self.q, j) * self._mass * den
+        return w, den
 
 
 def construct_beta_filter(k: int, q: int):
     """Order-``k`` beta-density filter; returns ``(filter, report)``.
 
     Solves the (v+1) x (v+1) beta-moment system for the polynomial
-    correction, v = ceil(k/2).  Requires ``q > max(2, k)``.
+    correction, v = ceil(k/2).  Requires an integer ``q > max(2, k)``.
     """
+    _check_q(q)
     if q <= max(2, k):
         raise ValueError("q must exceed max(2, k)")
     v = math.ceil(k / 2)
     A = np.empty((v + 1, v + 1))
     b = np.empty(v + 1)
-    A[0] = [_beta(3.0 + j, 3.0) for j in range(v + 1)]
+    A[0] = [_beta(3 + j, 3) for j in range(v + 1)]
     b[0] = 0.0
-    b2 = _beta(2.0, q + 1.0)
+    b2 = _beta(2, q + 1)
     for g in range(1, v + 1):
-        A[g] = [_beta(2 * g + 2.0 + j, 3.0) for j in range(v + 1)]
-        b[g] = _beta(2 * g + 1.0, q + 1.0) / b2
+        A[g] = [_beta(2 * g + 2 + j, 3) for j in range(v + 1)]
+        b[g] = _beta(2 * g + 1, q + 1) / b2
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e14:
         raise ValueError(f"beta moment system near-singular (cond={cond:.2e})")

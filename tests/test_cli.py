@@ -159,10 +159,14 @@ def test_detect_malformed_threshold_exit_3(mode, step_csv, tmp_path, capsys):
 
 
 def test_detect_bad_threads_env_exit_3(step_csv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("JUMPSCAN_THREADS", "abc")
-    assert main(["detect", "--input", str(step_csv), "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "JUMPSCAN_THREADS" in err
+    argv = ["detect", "--input", str(step_csv), "--out", str(tmp_path)]
+    cases = [(env, [], "JUMPSCAN_THREADS") for env in ("abc", "0", "-1")]
+    cases.append(("1", ["--threads", "0"], "--threads"))  # the flag wins over the variable
+    for env, flag, source in cases:
+        monkeypatch.setenv("JUMPSCAN_THREADS", env)
+        assert main(argv + flag) == 3, (env, flag)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and source in err
 
 
 def test_detect_seed_reproducible(step_csv, tmp_path):

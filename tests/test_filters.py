@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from jumpscan.filters import (
+    BetaJumpFilter,
     JumpPassFilter,
     builtin_wstar,
     construct_beta_filter,
@@ -235,6 +236,40 @@ def test_beta_filter_precondition():
         construct_beta_filter(2, 2)
     with pytest.raises(ValueError):
         construct_beta_filter(4, 4)
+
+
+@pytest.mark.parametrize("q", [30.5, 30.0, "30"])
+def test_beta_filter_rejects_non_integer_q(q):
+    with pytest.raises(ValueError, match="q must be an integer"):
+        construct_beta_filter(2, q)
+    with pytest.raises(ValueError, match="q must be an integer"):
+        BetaJumpFilter(order_k=2, q=q, corr=(1.0, 2.0))
+
+
+# u11, w11, w22 of the filters construct_beta_filter returns, from mpmath
+# tanh-sinh quadrature at 40 digits of the factored form with the exact
+# float values of `corr` (breakpoints at 1/(4q), 1/q, 3/q, 10/q, 1/2;
+# unchanged between maxdegree 9 and 12).  mpmath is not a test dependency,
+# so the values are hard-coded.
+BETA_REFERENCE = {
+    (2, 10): (
+        "10.24498539037196970623903885307362987340",
+        "943.4426302442495920788208978952418643416",
+        "23.87413539068692666091160138880448634816",
+    ),
+    (4, 200): (
+        "101.5492731420220897785393371863534246246",
+        "4121170.172967552646264097589531812576333",
+        "77.46217731681210287080763897540049451108",
+    ),
+}
+
+
+@pytest.mark.parametrize("k, q", sorted(BETA_REFERENCE))
+def test_beta_moments_against_40_digit_reference(k, q):
+    m = construct_beta_filter(k, q)[0].moments()
+    for got, ref in zip((m.u11, m.w11, m.w22), BETA_REFERENCE[k, q]):
+        assert got == pytest.approx(float(ref), rel=1e-13, abs=0)
 
 
 def test_beta_filter_oddness_and_support():
