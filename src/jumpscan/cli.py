@@ -16,7 +16,7 @@ from .field import MIN_N, ScaleConfig
 from .filters import builtin_wstar, load_filter
 from .simulate import DetectorSpec, PlsScenario, gen_series, monte_carlo
 from .threshold import critical_value, tail_constants
-from .tuning import auto_detect, select_s_star
+from .tuning import _level, auto_detect, select_s_star
 
 EXIT_BAD_INPUT = 2
 EXIT_BAD_CONFIG = 3
@@ -95,15 +95,10 @@ def _threads(args) -> int:
 
 def _alpha(text):
     """The level of ``--alpha``: ``"auto"`` or a float in (0, 0.5)."""
-    if text == "auto":
-        return text
     try:
-        alpha = float(text)
-    except ValueError:
-        alpha = math.nan
-    if not 0 < alpha < 0.5:
-        raise CliError(f"alpha must be 'auto' or lie in (0, 0.5), got {text!r}", EXIT_BAD_CONFIG)
-    return alpha
+        return _level(text)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
 
 
 def _filter_from(args):
@@ -197,20 +192,16 @@ def cmd_detect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     filt = _filter_from(args)
-    alphas = [float(a) for a in args.alphas.split(",")]
-    rows = LADDER
-    if args.rows:
-        rows = []
-        for part in args.rows.split(","):
-            n_, sl, su = part.split(":")
-            rows.append((int(n_), float(sl), float(su)))
+    try:
+        alphas = [float(a) for a in args.alphas.split(",")]
+        parts = [part.split(":") for part in args.rows.split(",")] if args.rows else LADDER
+        rows = [(int(n_), float(sl), float(su)) for n_, sl, su in parts]
+        tcs = [tail_constants(filt, sl, su) for _, sl, su in rows]
+        table = [[critical_value(a, tc) for a in alphas] for tc in tcs]
+    except ValueError as exc:
+        raise CliError(f"bad --alphas or --rows: {exc}", EXIT_BAD_CONFIG) from exc
     print("n      s_lower  s_upper  " + "  ".join(f"c({a})" for a in alphas))
-    for n_, sl, su in rows:
-        try:
-            tc = tail_constants(filt, sl, su)
-            cs = [critical_value(a, tc) for a in alphas]
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
+    for (n_, sl, su), cs in zip(rows, table):
         print(f"{n_:<6} {sl:<8.3f} {su:<8.3f} " + "  ".join(f"{c:.3f}" for c in cs))
     return 0
 
@@ -243,7 +234,10 @@ def cmd_tune(args) -> int:
 
 def cmd_simulate(args) -> int:
     sc = _parse_scenario(args.scenario, args.n, args.seed)
-    y, truth = gen_series(sc)
+    try:
+        y, truth = gen_series(sc)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = args.scenario.replace(":", "_")

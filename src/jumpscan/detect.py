@@ -147,15 +147,12 @@ def _parse_threshold(mode: str):
     )
 
 
-def _fs_factor(mode: str, n: int, cfg, filt, fs_correct: bool, alpha=None) -> float:
-    """Finite-sample threshold factor: 1 for ``fixed:C`` or with ``fs_correct`` off."""
-    if _parse_threshold(mode)[0] == "fixed" or not fs_correct:
-        return 1.0
-    return fs_correction(n, cfg, filt, alpha=alpha)
+def _resolve_threshold(mode: str, alpha, cfg, filt, n, seed, threads):
+    """(threshold, finite-sample factor, mode kind) for ``cfg`` and length ``n``.
 
-
-def _resolve_threshold(mode: str, alpha, cfg, filt, n, seed, fs_correct, threads):
-    """(threshold, finite-sample factor, mode kind) for ``cfg`` and length ``n``."""
+    The only code that builds a threshold: ``fixed:C`` is C with factor 1,
+    and analytic or bootstrap values are scaled by ``fs_correction`` at ``alpha``.
+    """
     kind, value = _parse_threshold(mode)
     if kind == "fixed":
         return value, 1.0, kind
@@ -163,7 +160,7 @@ def _resolve_threshold(mode: str, alpha, cfg, filt, n, seed, fs_correct, threads
         c = critical_value(alpha, tail_constants(filt, cfg.s_lower, cfg.s_upper))
     else:
         c = bootstrap_cv(alpha, n, cfg, filt, B=value, seed=seed, threads=threads)
-    k = _fs_factor(mode, n, cfg, filt, fs_correct, alpha=alpha)
+    k = fs_correction(n, cfg, filt, alpha=alpha)
     return c * k, k, kind
 
 
@@ -175,7 +172,6 @@ def detect_pipeline(
     threshold_mode: str = "analytic",
     z: float | None = None,
     alpha_tilde: float = 1.5,
-    fs_correct: bool = True,
     seed: int = 0,
     threads: int = 1,
     field_: MultiscaleField | None = None,
@@ -186,8 +182,7 @@ def detect_pipeline(
     replicates, default 2000) or ``fixed:C``; anything else raises
     ``ValueError``.  ``z`` defaults to ``cfg.s_lower`` (refinement
     half-window rule of thumb).  Analytic and bootstrap thresholds are
-    multiplied by the finite-sample denominator factor unless
-    ``fs_correct`` is off.
+    multiplied by the finite-sample denominator factor.
     A precomputed ``field_`` for the same (y, cfg, filt) is reused as is.
     ``threads`` parallelizes the bootstrap null replicates and does not
     change the result.
@@ -196,7 +191,7 @@ def detect_pipeline(
     if field_ is None:
         field_ = multiscale_field(y, cfg, filt)
     c, k, kind = _resolve_threshold(
-        threshold_mode, alpha, field_.cfg, filt, field_.n, seed, fs_correct, threads
+        threshold_mode, alpha, field_.cfg, filt, field_.n, seed, threads
     )
     raw = mjpd_detect(field_, c)
     zz = cfg.s_lower if z is None else z

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import _fs_factor
+from .detect import _resolve_threshold
 from .field import MIN_N, ScaleConfig
 from .tuning import auto_detect
 from .util import rng_for
@@ -371,7 +371,6 @@ class DetectorSpec:
     cfg: ScaleConfig
     alpha: object = "auto"  # float or "auto"
     threshold_mode: str = "analytic"
-    fs_correct: bool = True
     z: float | None = None
     filt: object = None  # defaults to the built-in optimal filter
 
@@ -398,7 +397,7 @@ def _mc_one(task):
     t0 = time.perf_counter()
     res, _ = auto_detect(
         y, filt, cfg=det.cfg, alpha=det.alpha,
-        threshold_mode=det.threshold_mode, fs_correct=det.fs_correct, z=det.z,
+        threshold_mode=det.threshold_mode, z=det.z,
     )
     dt = time.perf_counter() - t0
     hit = res.count == len(truth)
@@ -446,8 +445,8 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     if R < 50:
         raise ValueError("R must be at least 50")
 
-    # warm the calibration cache before forking
-    _fs_factor(det.threshold_mode, sc.n, det.cfg, det.filter(), det.fs_correct)
+    # warm the calibration caches before forking, at a replicate's seed and thread count
+    _resolve_threshold(det.threshold_mode, 0.10, det.cfg, det.filter(), sc.n, 0, 1)
 
     tasks = [(sc, det, seed, r) for r in range(R)]
     rows = _pool_rows(tasks, threads) if threads > 1 else None

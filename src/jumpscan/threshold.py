@@ -10,8 +10,9 @@ whose constants derive from the filter's moment constants and the scale
 interval.  ``bootstrap_cv`` simulates the same maximum with Gaussian
 multipliers instead.  ``fs_correction`` measures, by simulation, how much
 the *estimated* denominator fattens the null maximum relative to the
-deterministic-denominator field the formula describes; detection applies
-the resulting factor to the threshold at moderate sample sizes.
+deterministic-denominator field the formula describes, at the detection
+level; every analytic or bootstrap threshold is multiplied by that factor.
+The raw closed-form value stays reachable as the ``fixed:C`` mode.
 """
 
 from __future__ import annotations
@@ -40,15 +41,14 @@ class TailConstants:
     """Constants of the closed-form tail for a given filter and scale pair.
 
     ``kappa`` is the interior (area) coefficient, ``zeta1p`` the
-    finite-sample boundary coefficient, ``zeta2`` the scale-edge length.
+    finite-sample boundary coefficient.
     """
 
     kappa: float
     zeta1p: float
-    zeta2: float
 
     def __post_init__(self):
-        if not (self.kappa > 0 and self.zeta1p > 0 and self.zeta2 > 0):
+        if not (self.kappa > 0 and self.zeta1p > 0):
             raise ValueError("tail constants must be positive (need s_lower < s_upper < 1/2)")
 
 
@@ -63,8 +63,7 @@ def tail_constants(filt, s_lower: float, s_upper: float) -> TailConstants:
     # the domain length.  (The w11-based variant overstates the boundary
     # mass at practical scale pairs; see the calibration tests.)
     zeta1p = dom * math.sqrt(m.w22 / m.u11) * (1.0 / s_upper + 1.0 / s_lower)
-    zeta2 = 2.0 * math.sqrt(m.w22 / m.u11) * (math.log(s_upper) - math.log(s_lower))
-    return TailConstants(kappa=kappa, zeta1p=zeta1p, zeta2=zeta2)
+    return TailConstants(kappa=kappa, zeta1p=zeta1p)
 
 
 def alpha_of_c(c: float, tc: TailConstants) -> float:
@@ -189,19 +188,18 @@ def fs_correction(
     filt,
     B: int = 800,
     seed: int = 20_240_817,
-    alpha: float | None = None,
+    alpha: float = 0.10,
 ) -> float:
     """Finite-sample threshold factor for the estimated denominator.
 
     Quantile ratio between the self-normalized null maximum and its
     deterministic-denominator counterpart, both simulated with Gaussian
-    multipliers.  With ``alpha`` given, the ratio is interpolated at the
-    matching quantile (clamped to the simulated probe range); otherwise the
-    median probe ratio is returned.  Deterministic given ``seed`` and
-    cached per configuration; >= 1 by construction.
+    multipliers, interpolated at the (1 - ``alpha``) quantile and clamped
+    to the simulated probe range.  The default 0.10 reads the middle probe,
+    which equals the median of the five probe ratios: the fitted line is
+    monotone, and so stays after clamping at 1.  Deterministic given
+    ``seed`` and cached per configuration; >= 1 by construction.
     """
     probes, ratios = _fs_ratio_curve(n, cfg, filt, B, seed)
-    if alpha is None:
-        return float(np.median(ratios))
     p = min(max(1.0 - alpha, probes[0]), probes[-1])
     return float(np.interp(p, probes, ratios))

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detect import _fs_factor, _parse_threshold, _resolve_threshold, detect_pipeline, mjpd_detect
+from .detect import _parse_threshold, _resolve_threshold, detect_pipeline, mjpd_detect
 from .convolve import filter_bank
 from .field import MultiscaleField, ScaleConfig, _xi_band, multiscale_field
 from .threshold import TailConstants, critical_value, tail_constants
@@ -278,6 +278,19 @@ def _implied_jump_size(g_value, n, s_upper, sigma_sup, filt):
     return g_value * sigma_sup * math.sqrt(m.u11) / (math.sqrt(n * s_upper) * m.f0)
 
 
+def _level(alpha):
+    """``'auto'``, or ``alpha`` as a float in (0, 0.5); else ``ValueError``."""
+    if alpha == "auto":
+        return alpha
+    try:
+        level = float(alpha)
+    except (TypeError, ValueError):
+        level = math.nan
+    if not 0 < level < 0.5:
+        raise ValueError(f"alpha must be 'auto' or lie in (0, 0.5), got {alpha!r}")
+    return level
+
+
 def auto_detect(
     y,
     filt,
@@ -285,7 +298,6 @@ def auto_detect(
     alpha: float | str = "auto",
     threads: int = 1,
     threshold_mode: str = "analytic",
-    fs_correct: bool = True,
     seed: int = 0,
     z: float | None = None,
     alpha_tilde: float = 1.5,
@@ -293,18 +305,19 @@ def auto_detect(
     """Detection with data-driven tuning; returns (result, info).
 
     The keywords after ``threads`` are those of :func:`detect_pipeline`, with
-    its defaults; a malformed ``threshold_mode`` raises ``ValueError``
-    before any work.  Missing scales come from the minimum-volatility
-    selections, which read only analytic critical values, whatever the
-    threshold mode.  With ``alpha='auto'`` the level is chosen by
-    :func:`select_alpha` and, when the raw peaks of a moderate-level probe
-    include candidate jumps, refreshed once with their count and implied
-    minimum jump size.  Only the probe and the final detection pass use
-    ``threshold_mode``; the pass runs at the settled level.  The field is
-    built once; the probe and the pass reuse it and ``info["field"]``
-    returns it.
+    its defaults.  A malformed ``threshold_mode``, or an ``alpha`` that is
+    neither ``'auto'`` nor in (0, 0.5), raises ``ValueError`` before any
+    work.  Missing scales come from the minimum-volatility selections, which
+    read only analytic critical values, whatever the threshold mode.  With
+    ``alpha='auto'`` the level is chosen by :func:`select_alpha` and, when
+    the raw peaks of a moderate-level probe include candidate jumps,
+    refreshed once with their count and implied minimum jump size.  Only
+    the probe and the final detection pass use ``threshold_mode``; the pass
+    runs at the settled level.  The field is built once; the probe and the
+    pass reuse it and ``info["field"]`` returns it.
     """
     _parse_threshold(threshold_mode)
+    alpha = _level(alpha)
     y = np.asarray(y, dtype=float)
     n = len(y)
     info = {}
@@ -322,16 +335,15 @@ def auto_detect(
     def level_pass(level):
         return detect_pipeline(
             y, cfg, filt, alpha=level, threshold_mode=threshold_mode, z=z,
-            alpha_tilde=alpha_tilde, fs_correct=fs_correct, seed=seed, threads=threads,
-            field_=field_,
+            alpha_tilde=alpha_tilde, seed=seed, threads=threads, field_=field_,
         )
 
     if alpha != "auto":
-        info["alpha"] = float(alpha)
-        return level_pass(float(alpha)), info
+        info["alpha"] = alpha
+        return level_pass(alpha), info
 
     tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
-    corr = _fs_factor(threshold_mode, n, cfg, filt, fs_correct)
+    corr = _resolve_threshold(threshold_mode, 0.10, cfg, filt, n, seed, threads)[1]
     sigma = sigma_sup_estimate(field_)
     a1 = select_alpha(n, cfg.s_upper, sigma, tc, filt, correction=corr)
     info["alpha_round1"] = a1
@@ -344,9 +356,7 @@ def auto_detect(
     # which drives the selected level back to the grid minimum, so a
     # spurious probe hit cannot survive to the final pass.  The probe needs
     # only the raw peaks.
-    c, _, _ = _resolve_threshold(
-        threshold_mode, max(0.10, a1), cfg, filt, n, seed, fs_correct, threads
-    )
+    c, _, _ = _resolve_threshold(threshold_mode, max(0.10, a1), cfg, filt, n, seed, threads)
     probe = mjpd_detect(field_, c)
     # Candidates barely above the probe threshold are as likely noise
     # exceedances as jumps; letting them drive the size guess would push

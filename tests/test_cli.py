@@ -247,6 +247,23 @@ def test_simulate_bad_scenario_exit_3(tmp_path):
     assert main(["simulate", "--scenario", "bogus:GS", "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--rows", "bad"],
+        ["calibrate", "--alphas", "abc"],
+        ["calibrate", "--alphas", "0.05,"],
+        ["simulate", "--scenario", "I:GS", "--n", "50"],
+    ],
+    ids=["calibrate-rows-bad", "calibrate-alphas-abc", "calibrate-alphas-empty", "simulate-n-50"],
+)
+def test_calibrate_or_simulate_bad_argument_exit_3(argv, tmp_path, capsys):
+    out = ["--out", str(tmp_path)] if argv[0] == "simulate" else []
+    assert main([*argv, *out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_montecarlo_smoke(tmp_path, capsys):
     rc = main([
         "montecarlo", "--scenario", "I:GS", "--n", "500", "--reps", "50",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpscan.detect import RawJump, _fs_factor, cusum_refine, detect_pipeline, mjpd_detect
+from jumpscan.detect import RawJump, _resolve_threshold, cusum_refine, detect_pipeline, mjpd_detect
 from jumpscan.field import MultiscaleField, ScaleConfig, multiscale_field
 from jumpscan.filters import builtin_wstar, construct_beta_filter
 from jumpscan.threshold import fs_correction
@@ -214,7 +214,7 @@ def test_malformed_threshold_mode_raises(mode):
     with pytest.raises(ValueError, match="threshold mode"):
         detect_pipeline(step_series(), CFG, W, threshold_mode=mode)
     with pytest.raises(ValueError, match="threshold mode"):
-        _fs_factor(mode, 500, CFG, W, fs_correct=False)
+        _resolve_threshold(mode, 0.05, CFG, W, 500, 0, 1)
 
 
 def test_pipeline_reuses_prebuilt_field():
@@ -237,10 +237,9 @@ def test_pipeline_runs_with_beta_filter():
 
 @pytest.mark.parametrize("mode", ["analytic", "bootstrap:200", "fixed:4.0"])
 def test_fs_factor_is_the_one_threshold_rule(mode):
-    assert _fs_factor(mode, 500, CFG, W, fs_correct=False, alpha=0.05) == 1.0
-    k = _fs_factor(mode, 500, CFG, W, fs_correct=True, alpha=0.05)
-    if mode.startswith("fixed"):
-        assert k == 1.0
-    else:
-        assert k == fs_correction(500, CFG, W, alpha=0.05)
-        assert _fs_factor(mode, 500, CFG, W, fs_correct=True) == fs_correction(500, CFG, W)
+    for a in (0.05, 0.10):
+        c, k, _ = _resolve_threshold(mode, a, CFG, W, 500, 0, 1)
+        if mode.startswith("fixed"):
+            assert (c, k) == (4.0, 1.0)
+        else:
+            assert k == fs_correction(500, CFG, W, alpha=a)

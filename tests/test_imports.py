@@ -47,12 +47,37 @@ print("ok")
 """
 
 
-def test_package_import_loads_no_scipy():
+COLD_AUTO = """
+import sys
+
+import numpy as np
+import jumpscan.cli
+from jumpscan import auto_detect, builtin_wstar
+
+n = 500
+y = 3.0 * ((np.arange(n) + 1) / n > 0.5) + np.random.default_rng(4).standard_normal(n)
+filt = builtin_wstar()
+before = set(sys.modules)
+auto_detect(y, filt, alpha="auto")
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def _fresh_python(code):
     # a fresh interpreter: pytest's own process has scipy loaded by other tests
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", GUARD], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    return proc.stdout.strip()
+
+
+def test_package_import_loads_no_scipy():
+    assert _fresh_python(GUARD) == "ok"
+
+
+def test_cold_auto_detect_loads_no_module():
+    # automatic scales and level, calibration included, on what the CLI import loaded
+    assert _fresh_python(COLD_AUTO) == "[]"

@@ -258,7 +258,8 @@ def _recording_mc_one(task):
 
 def test_monte_carlo_replicate_error_not_rerun_serially(monkeypatch):
     # n * s_star = 1.5 < 2: every replicate raises inside its worker
-    det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.003), alpha=0.05, fs_correct=False)
+    cfg = ScaleConfig(0.061, 0.167, 0.003)
+    det = DetectorSpec(cfg=cfg, alpha=0.05, threshold_mode="fixed:4.0")
     monkeypatch.setattr(simulate, "_mc_one", _recording_mc_one)
     _CALLER_PIDS.clear()
     with pytest.raises(ValueError, match="n \\* s_star"):

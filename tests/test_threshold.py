@@ -6,6 +6,7 @@ import pytest
 from jumpscan.field import ScaleConfig
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import (
+    _fs_ratio_curve,
     _gauss_max_stats,
     alpha_of_c,
     bootstrap_cv,
@@ -33,7 +34,7 @@ TABLE = [
 
 def test_constants_positive():
     tc = tail_constants(W, 0.061, 0.167)
-    assert tc.kappa > 0 and tc.zeta1p > 0 and tc.zeta2 > 0
+    assert tc.kappa > 0 and tc.zeta1p > 0
 
 
 def test_alpha_vanishes_at_large_c():
@@ -88,7 +89,7 @@ def test_critical_value_near_half_is_root_or_loud():
     # a genuine root comes back, never a silent wrong value
     from jumpscan.threshold import TailConstants
 
-    tiny = TailConstants(kappa=1e-9, zeta1p=1e-9, zeta2=1e-9)
+    tiny = TailConstants(kappa=1e-9, zeta1p=1e-9)
     c = critical_value(0.49, tiny)
     assert alpha_of_c(c, tiny) == pytest.approx(0.49, abs=1e-6)
     with pytest.raises(ValueError):
@@ -154,3 +155,13 @@ def test_fs_correction_cached_and_at_least_one():
     warm = time.perf_counter() - t0
     assert k1 == k2 >= 1.0
     assert warm < cold / 10
+
+
+@pytest.mark.parametrize("s_star", [0.03, 0.02])
+@pytest.mark.parametrize("n, s_lower, s_upper", [row[:3] for row in TABLE[:3]])
+def test_fs_correction_default_is_the_median_probe_ratio(n, s_lower, s_upper, s_star):
+    # the default level 0.10 reads the middle of five probes on a monotone
+    # curve, which is the median the factor once took
+    cfg = ScaleConfig(s_lower, s_upper, s_star)
+    median = float(np.median(_fs_ratio_curve(n, cfg, W, 800, 20_240_817)[1]))
+    assert fs_correction(n, cfg, W) == median

@@ -246,8 +246,7 @@ def test_auto_detect_is_one_pipeline_pass_at_its_level(y):
     assert res.to_dict() == again.to_dict()
 
 
-@pytest.mark.parametrize("kw", [{}, {"fs_correct": True}], ids=["default", "fs_correct"])
-def test_auto_detect_calibrates_only_its_chosen_scales(kw, monkeypatch):
+def test_auto_detect_calibrates_only_its_chosen_scales(monkeypatch):
     cfgs = []
     calibrate = detect.fs_correction
 
@@ -256,7 +255,7 @@ def test_auto_detect_calibrates_only_its_chosen_scales(kw, monkeypatch):
         return calibrate(n, cfg, *args, **kwargs)
 
     monkeypatch.setattr(detect, "fs_correction", recording)
-    _, info = auto_detect(step_series(600, 4.0, seed=31), W, cfg=None, alpha="auto", **kw)
+    _, info = auto_detect(step_series(600, 4.0, seed=31), W, cfg=None, alpha="auto")
     assert cfgs
     assert all(cfg == info["config"] for cfg in cfgs)
 
@@ -279,15 +278,25 @@ def test_scale_sweep_ignores_the_detection_mode(mode, monkeypatch):
     assert cfgs == ([want["config"]] if mode == "bootstrap:200" else [])
 
 
-@pytest.mark.parametrize("mode", ["fixed", "fixed:", "fixedfoo:3", "analytic:1", "bootstrap:abc"])
-def test_auto_detect_rejects_malformed_mode_before_any_work(mode, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("filtered the series before checking the mode")
+@pytest.fixture()
+def no_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("filtered the series before checking the arguments")
 
-    monkeypatch.setattr(tuning, "multiscale_field", no_work)
-    monkeypatch.setattr(tuning, "filter_bank", no_work)
+    monkeypatch.setattr(tuning, "multiscale_field", fail)
+    monkeypatch.setattr(tuning, "filter_bank", fail)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "fixed:", "fixedfoo:3", "analytic:1", "bootstrap:abc"])
+def test_auto_detect_rejects_malformed_mode_before_any_work(mode, no_work):
     with pytest.raises(ValueError, match="threshold mode"):
         auto_detect(step_series(500, 3.0, seed=4), W, cfg=None, alpha=0.05, threshold_mode=mode)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.0, "abc"])
+def test_auto_detect_rejects_bad_level_before_any_work(alpha, no_work):
+    with pytest.raises(ValueError, match="alpha must be 'auto' or lie in"):
+        auto_detect(step_series(500, 3.0, seed=4), W, cfg=None, alpha=alpha)
 
 
 def test_auto_detect_fixed_level_is_detect_pipeline():
