@@ -41,8 +41,9 @@ class ScaleConfig:
             raise ValueError("n * s_star < 2: denominator scale unresolvable")
 
 
+@lru_cache(maxsize=256)
 def scale_grid(n: int, cfg: ScaleConfig) -> np.ndarray:
-    """Log2-equispaced grid of floor((log n)^(1+eps)) scales in [s_lower, s_upper]."""
+    """Read-only log2-equispaced grid of floor((log n)^(1+eps)) scales in [s_lower, s_upper]."""
     count = int(math.floor(math.log(n) ** (1.0 + cfg.grid_eps)))
     if count < 2:
         raise ValueError("grid degenerate: fewer than two scales")
@@ -51,6 +52,7 @@ def scale_grid(n: int, cfg: ScaleConfig) -> np.ndarray:
     s[0], s[-1] = cfg.s_lower, cfg.s_upper
     if np.any(np.diff(s) <= 0):
         raise ValueError("grid degenerate: scales not strictly increasing")
+    s.flags.writeable = False
     return s
 
 

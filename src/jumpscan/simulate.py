@@ -368,7 +368,7 @@ def gen_series(sc: PlsScenario):
 class DetectorSpec:
     """Detector settings used by the Monte-Carlo harness."""
 
-    cfg: ScaleConfig
+    cfg: ScaleConfig | None  # None: automatic scales per replicate
     alpha: object = "auto"  # float or "auto"
     threshold_mode: str = "analytic"
     z: float | None = None
@@ -445,8 +445,10 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     if R < 50:
         raise ValueError("R must be at least 50")
 
-    # warm the calibration caches before forking, at a replicate's seed and thread count
-    _resolve_threshold(det.threshold_mode, 0.10, det.cfg, det.filter(), sc.n, 0, 1)
+    # warm the calibration caches before forking, at a replicate's seed and
+    # thread count; automatic scales differ per replicate, so there is nothing to warm
+    if det.cfg is not None:
+        _resolve_threshold(det.threshold_mode, 0.10, det.cfg, det.filter(), sc.n, 0, 1)
 
     tasks = [(sc, det, seed, r) for r in range(R)]
     rows = _pool_rows(tasks, threads) if threads > 1 else None

@@ -5,11 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpscan.convolve import _fast_len, brute_filtered_series, fast_filtered_series, filter_bank
-from jumpscan.field import ScaleConfig, scale_grid
+from jumpscan import convolve
+from jumpscan.convolve import (
+    _bank_plan,
+    _fast_len,
+    brute_filtered_series,
+    fast_filtered_series,
+    filter_bank,
+)
+from jumpscan.detect import detect_pipeline
+from jumpscan.field import ScaleConfig, multiscale_field, scale_grid
 from jumpscan.filters import builtin_wstar, construct_beta_filter
+from jumpscan.threshold import _gauss_max_stats, fs_correction
 
 W = builtin_wstar()
+BETA, _ = construct_beta_filter(2, 30)
 
 
 def rel_gap(a, b):
@@ -163,3 +173,64 @@ def test_fast_len_matches_scipy():
     got = [_fast_len(t) for t in range(1, 100_001)]
     want = [next_fast_len(t, real=True) for t in range(1, 100_001)]
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# blocks of scales
+# ---------------------------------------------------------------------------
+
+CFG400 = ScaleConfig(0.061, 0.167, 0.03)
+
+
+def _block_budgets(m, n, cfg, filt):
+    """Block budgets of one scale per inverse transform, three, and every scale."""
+    scales = (cfg.s_star, *scale_grid(n, cfg))
+    length, _ = _bank_plan(n, tuple(float(s) for s in scales), filt)
+    return [per * m * length for per in (1, 3, len(scales))]
+
+
+@pytest.mark.parametrize("filt", [W, BETA], ids=["wstar", "beta"])
+@pytest.mark.parametrize("m", [1, 128])
+def test_bank_responses_do_not_depend_on_the_block(m, filt, monkeypatch):
+    n = 400
+    scales = [CFG400.s_star, *scale_grid(n, CFG400)]
+    ymat = np.random.default_rng(m).standard_normal((m, n))
+    runs = []
+    for budget in _block_budgets(m, n, CFG400, filt):
+        monkeypatch.setattr(convolve, "_BLOCK_VALUES", budget)
+        # every response is held until the bank is spent: a later block
+        # must not overwrite an earlier one
+        runs.append(list(filter_bank(ymat, scales, filt)))
+    per_scale = runs[0]
+    assert len(per_scale) == len(scales)
+    for run in runs[1:]:
+        assert len(run) == len(scales)
+        assert all(np.array_equal(a, b) for a, b in zip(per_scale, run))
+
+
+@pytest.mark.parametrize("filt", [W, BETA], ids=["wstar", "beta"])
+def test_field_and_null_maxima_do_not_depend_on_the_block(filt, monkeypatch):
+    n = 400
+    y = np.random.default_rng(3).standard_normal(n) + (np.arange(n) >= n // 2)
+    fields, stats = [], []
+    for one, chunk in zip(_block_budgets(1, n, CFG400, filt), _block_budgets(128, n, CFG400, filt)):
+        monkeypatch.setattr(convolve, "_BLOCK_VALUES", one)
+        f = multiscale_field(y, CFG400, filt)
+        fields.append((f.hmax, f.arg, f.xi, f.g, f.valid))
+        # 200 null rows: one chunk of 128 and one of 72
+        monkeypatch.setattr(convolve, "_BLOCK_VALUES", chunk)
+        stats.append(_gauss_max_stats.__wrapped__(n, CFG400, filt, 200, 5))
+    for f, s in zip(fields[1:], stats[1:]):
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(fields[0], f))
+        assert all(np.array_equal(a, b) for a, b in zip(stats[0], s))
+
+
+def test_detection_after_calibration_reuses_the_plan():
+    n = 400
+    cfg = ScaleConfig(0.0613, 0.1673, 0.0303)  # no other test builds its plan
+    fs_correction(n, cfg, W)
+    before = _bank_plan.cache_info()
+    detect_pipeline(np.random.default_rng(8).standard_normal(n), cfg, W, alpha=0.05)
+    after = _bank_plan.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits

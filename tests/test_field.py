@@ -35,6 +35,9 @@ def test_scale_grid_n500():
     assert len(g) == 15
     assert g[0] == 0.061 and g[-1] == 0.167
     assert np.all(np.diff(g) > 0)
+    # cached per (n, cfg) and shared, so read-only
+    assert scale_grid(500, CFG500) is g
+    assert not g.flags.writeable
 
 
 def test_scale_grid_n5000_count():

@@ -7,6 +7,7 @@ import pytest
 from jumpscan import simulate
 from jumpscan.detect import detect_pipeline
 from jumpscan.field import MIN_N, ScaleConfig
+from jumpscan.filters import builtin_wstar
 from jumpscan.simulate import (
     DetectorSpec,
     MEAN_MODELS,
@@ -22,6 +23,7 @@ from jumpscan.simulate import (
     _plsn_g,
     _tv_arma,
 )
+from jumpscan.tuning import auto_detect
 from jumpscan.util import rng_for
 
 
@@ -277,6 +279,17 @@ def test_replicate_at_a_fixed_level_is_detect_pipeline():
         assert hit and count == res.count == len(truth)
         assert mad_raw == _mad([j.location for j in res.jumps_raw], truth)
         assert mad_ref == _mad(res.jumps_refined, truth)
+
+
+def test_monte_carlo_automatic_scales():
+    # each replicate selects its own scales, so nothing is calibrated before the loop
+    sc = PlsScenario.make("I", "GS", n=200)
+    m = monte_carlo(sc, DetectorSpec(cfg=None), R=50, seed=2)
+    assert len(m["counts"]) == 50
+    for r in range(3):
+        y, _ = simulate._generate(sc, rng_for(2, r))
+        res, _ = auto_detect(y, builtin_wstar(), cfg=None)
+        assert m["counts"][r] == res.count
 
 
 def test_monte_carlo_requires_enough_reps():
