@@ -130,7 +130,7 @@ def _bank_plan(n: int, scales: tuple, filt):
         k = np.zeros(length)
         k[1 : h + 1] = wk
         k[length - h :] = -wk[::-1]
-        np.conjugate(rfft(k, out=row), out=row)
+        np.conjugate(rfft(k), out=row)
     kernels.flags.writeable = False
     return length, kernels
 

@@ -66,39 +66,15 @@ def tail_constants(filt, s_lower: float, s_upper: float) -> TailConstants:
     return TailConstants(kappa=kappa, zeta1p=zeta1p)
 
 
-# the bisection bracket of every critical value
-_BRACKET = (0.5, 12.0)
-
-# exp and erfc of ``math`` elementwise: numpy's vectorized exp can differ
-# from ``math.exp`` in the last bit, and then a critical value would too
-_exp = np.vectorize(math.exp, otypes=[float])
-_erfc = np.vectorize(math.erfc, otypes=[float])
-
-
-def _tail(c, tc: TailConstants, exp=math.exp, erfc=math.erfc):
-    """The closed-form tail at ``c``, a float or (with ``_exp``, ``_erfc``) an array."""
-    e = exp(-0.5 * c * c)
-    gauss_tail = erfc(c / math.sqrt(2.0))  # = 2 (1 - Phi(c))
-    return tc.kappa * c / (math.sqrt(2.0) * math.pi ** 1.5) * e + tc.zeta1p / (
-        2.0 * math.pi
-    ) * e + gauss_tail
-
-
 def alpha_of_c(c: float, tc: TailConstants) -> float:
     """Tail probability of the multiscale maximum at level ``c`` (> 0)."""
     if c <= 0:
         raise ValueError("c must be positive")
-    return _tail(c, tc)
-
-
-def _check_bracket(alpha, tc: TailConstants) -> None:
-    """Raise unless the tail crosses every level of ``alpha`` inside the bracket."""
-    lo, hi = _BRACKET
-    a_lo, a_hi = alpha_of_c(lo, tc), alpha_of_c(hi, tc)
-    if np.any(a_lo - alpha < 0) or np.any(a_hi - alpha > 0):
-        raise ValueError(
-            f"no sign change on [{lo}, {hi}]: alpha({lo})={a_lo:.3g}, alpha({hi})={a_hi:.3g}"
-        )
+    e = math.exp(-0.5 * c * c)
+    gauss_tail = math.erfc(c / math.sqrt(2.0))  # = 2 (1 - Phi(c))
+    return tc.kappa * c / (math.sqrt(2.0) * math.pi ** 1.5) * e + tc.zeta1p / (
+        2.0 * math.pi
+    ) * e + gauss_tail
 
 
 @lru_cache(maxsize=1024)
@@ -111,32 +87,20 @@ def critical_value(alpha: float, tc: TailConstants) -> float:
     """
     if not (0.0 < alpha < 0.5):
         raise ValueError("alpha must lie in (0, 0.5)")
-    _check_bracket(alpha, tc)
-    lo, hi = _BRACKET
+    lo, hi = 0.5, 12.0
+    flo = alpha_of_c(lo, tc) - alpha
+    fhi = alpha_of_c(hi, tc) - alpha
+    if flo < 0 or fhi > 0:
+        raise ValueError(
+            f"no sign change on [{lo}, {hi}]: alpha({lo})={flo + alpha:.3g}, "
+            f"alpha({hi})={fhi + alpha:.3g}"
+        )
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if alpha_of_c(mid, tc) > alpha:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _critical_values(alphas: np.ndarray, tc: TailConstants) -> np.ndarray:
-    """``critical_value`` at every level of ``alphas`` (each in (0, 0.5)) at once.
-
-    Equal to it level by level: the bisection halves the same bracket for
-    every level, so all levels take the same steps, and the tail is
-    evaluated with the same operations in the same order.
-    """
-    _check_bracket(alphas, tc)
-    lo = np.full(len(alphas), _BRACKET[0])
-    hi = np.full(len(alphas), _BRACKET[1])
-    while hi[0] - lo[0] > 1e-8:
-        mid = 0.5 * (lo + hi)
-        above = _tail(mid, tc, _exp, _erfc) > alphas
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
 
 

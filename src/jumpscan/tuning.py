@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .detect import _parse_threshold, _resolve_threshold, detect_pipeline, mjpd_detect
 from .convolve import filter_bank
 from .field import MultiscaleField, ScaleConfig, _xi_band, multiscale_field
-from .threshold import TailConstants, _critical_values, _erfc, critical_value, tail_constants
+from .threshold import TailConstants, critical_value, tail_constants
 
 __all__ = [
     "MvReport",
@@ -45,11 +45,13 @@ _TOP_SCALE_FRACTION = 0.85
 # values ranked per block by the sliding median (8 MB of float64)
 _MEDIAN_BLOCK = 1 << 20
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
 
 def _norm_cdf(x) -> np.ndarray:
     """Standard normal cdf, 0.5 erfc(-x / sqrt 2), elementwise."""
     z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
-    return 0.5 * _erfc(z)
+    return 0.5 * np.asarray(_erfc(z), dtype=float)
 
 
 def _sliding_median(x: np.ndarray, w: int) -> np.ndarray:
@@ -74,7 +76,7 @@ def _sliding_median(x: np.ndarray, w: int) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _cv_grid(tc: TailConstants) -> np.ndarray:
     # memoised as a whole, so its 300 levels bypass the per-level cache
-    return _critical_values(_Q_GRID, tc)
+    return np.array([critical_value.__wrapped__(q, tc) for q in _Q_GRID])
 
 
 @dataclass

@@ -234,3 +234,22 @@ def test_detection_after_calibration_reuses_the_plan():
     after = _bank_plan.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
+
+
+def test_bank_runs_on_the_numpy_1_24_fft_signature(monkeypatch):
+    # numpy>=1.24 is the declared floor: its rfft and irfft take no ``out=``
+    def rfft(a, n=None, axis=-1, norm=None):
+        return np.fft.rfft(a, n, axis, norm)
+
+    def irfft(a, n=None, axis=-1, norm=None):
+        return np.fft.irfft(a, n, axis, norm)
+
+    n = 400
+    scales = [CFG400.s_star, *scale_grid(n, CFG400)]
+    ymat = np.random.default_rng(9).standard_normal((3, n))
+    want = list(filter_bank(ymat, scales, W))
+    _bank_plan.cache_clear()
+    monkeypatch.setattr(convolve, "rfft", rfft)
+    monkeypatch.setattr(convolve, "irfft", irfft)
+    got = list(filter_bank(ymat, scales, W))
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from jumpscan import detect, tuning
-from jumpscan.cli import LADDER
 from jumpscan.detect import detect_pipeline
 from jumpscan.field import ScaleConfig, multiscale_field
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import critical_value, tail_constants
 from jumpscan.tuning import (
-    _Q_GRID,
-    _cv_grid,
     _norm_cdf,
     _sliding_median,
     auto_detect,
@@ -126,14 +123,6 @@ def test_norm_cdf_matches_ndtr():
 # ---------------------------------------------------------------------------
 # alpha selection
 # ---------------------------------------------------------------------------
-
-# the ladder holds the scale pair of every fixed-scale benchmark workload
-@pytest.mark.parametrize("sl, su", [(sl, su) for _, sl, su in LADDER])
-def test_cv_grid_equals_critical_value_at_every_level(sl, su):
-    tc = tail_constants(W, sl, su)
-    want = [critical_value.__wrapped__(float(q), tc) for q in _Q_GRID]
-    assert _cv_grid.__wrapped__(tc).tolist() == want
-
 
 def test_select_alpha_on_grid_and_minimal():
     tc = tail_constants(W, 0.061, 0.167)
