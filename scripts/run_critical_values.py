@@ -12,6 +12,7 @@ from jumpscan.cli import LADDER
 from jumpscan.field import ScaleConfig
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import bootstrap_cv, critical_value, tail_constants
+from jumpscan.tuning import min_s_star
 
 
 def main():
@@ -33,7 +34,7 @@ def main():
         tc = tail_constants(filt, sl, su)
         cells = [f"{critical_value(a, tc):.3f}" for a in alphas]
         if args.bootstrap:
-            cfg = ScaleConfig(sl, su, (1 / 6) * n ** -0.5 * __import__("math").log(n) ** 0.5)
+            cfg = ScaleConfig(sl, su, min_s_star(n))
             cells += [
                 f"{bootstrap_cv(a, n, cfg, filt, B=args.bootstrap, seed=args.seed, threads=args.threads):.3f}"
                 for a in alphas

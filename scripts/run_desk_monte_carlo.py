@@ -7,11 +7,11 @@ and after the second-stage refinement.
 """
 
 import argparse
-import math
 
 from jumpscan.cli import LADDER
 from jumpscan.field import ScaleConfig
 from jumpscan.simulate import DetectorSpec, PlsScenario, increasing_jump_count, monte_carlo
+from jumpscan.tuning import min_s_star
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
     print("\ngrowing-sample scenario (jump count rises, sizes shrink):")
     print("n      jumps  hit     mad_raw   mad_refined")
     for n, sl, su in (row for row in LADDER if row[0] in (1000, 2000)):
-        cfg = ScaleConfig(sl, su, (1 / 6) * n ** -0.5 * math.log(n) ** 0.5)
+        cfg = ScaleConfig(sl, su, min_s_star(n))
         det = DetectorSpec(cfg=cfg, alpha="auto")
         sc = PlsScenario.make("increasing", n=n)
         m = monte_carlo(sc, det, R=args.reps, seed=11, threads=args.threads)

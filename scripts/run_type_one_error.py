@@ -6,11 +6,11 @@ flags at least one jump, at nominal levels 5% and 10%.
 """
 
 import argparse
-import math
 
 from jumpscan.cli import LADDER
 from jumpscan.field import ScaleConfig
 from jumpscan.simulate import DetectorSpec, PlsScenario, monte_carlo
+from jumpscan.tuning import min_s_star
 
 
 def main():
@@ -24,7 +24,7 @@ def main():
     print("n      alpha  rejection")
     for n in (int(s) for s in args.sizes.split(",")):
         sl, su = scales[n]
-        cfg = ScaleConfig(sl, su, (1 / 6) * n ** -0.5 * math.log(n) ** 0.5)
+        cfg = ScaleConfig(sl, su, min_s_star(n))
         for alpha in (0.05, 0.10):
             det = DetectorSpec(cfg=cfg, alpha=alpha)
             m = monte_carlo(

@@ -28,10 +28,10 @@ class ScaleConfig:
     grid_eps: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.s_star < self.s_lower < self.s_upper <= 0.5):
+        if not (0.0 < self.s_star < self.s_lower < self.s_upper < 0.5):
             raise ValueError(
-                "need 0 < s_star < s_lower < s_upper <= 1/2, got "
-                f"({self.s_star}, {self.s_lower}, {self.s_upper})"
+                "need 0 < s_star < s_lower < s_upper < 1/2 (at s_upper = 1/2 the valid "
+                f"core is empty), got ({self.s_star}, {self.s_lower}, {self.s_upper})"
             )
         if self.grid_eps <= 0:
             raise ValueError("grid_eps must be positive")
@@ -57,79 +57,65 @@ def scale_grid(n: int, cfg: ScaleConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _band_count(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray:
-    """Read-only number of band indices a <= |i-j| <= b in [lo, hi), per j."""
+def _window_count(n: int, lo: int, hi: int, spans: tuple) -> np.ndarray:
+    """Read-only number of indices of [lo, hi) in the windows j + [start, stop), per j."""
     j = np.arange(n)
-    right = np.clip(j + b + 1, lo, hi) - np.clip(j + a, lo, hi)
-    left = np.clip(j - a + 1, lo, hi) - np.clip(j - b, lo, hi)
-    count = right + left
+    count = sum(np.clip(j + stop, lo, hi) - np.clip(j + start, lo, hi) for start, stop in spans)
     if np.any(count == 0):
         raise ValueError("empty denominator band")
     count.flags.writeable = False
     return count
 
 
-def _band_mean_sq(hvals: np.ndarray, a: int, b: int, lo: int, hi: int) -> np.ndarray:
-    """Rolling two-sided band average of hvals**2 over a <= |i-j| <= b.
+def _windowed_mean(vals: np.ndarray, n: int, lo: int, spans: tuple) -> np.ndarray:
+    """Mean of ``vals`` over the windows j + [start, stop) of ``spans``, for j in [0, n).
 
-    Band indices are additionally truncated to [lo, hi).  Rows outside that
-    range carry boundary-truncated filter windows: they would leak level
-    shifts into the denominator, and under a large offset their size would
-    cancel the band differences, so they stay out of the cumulative sum.
-    That sum is padded with its edge values, b + lo on the left and
-    n + b - hi on the right, so each of the four band ends, clamped to
-    [lo, hi), is one contiguous slice of it.
+    ``vals`` holds the indices [lo, hi) of a length-n axis along its last
+    axis, and each window is clamped to [lo, hi).  This is the moving-sum
+    (MOSUM) device: one cumulative sum, padded with its edge values, so that
+    every clamped window end is a contiguous slice of it.  The spans are
+    added in order, then divided by the count.  The padding assumes the
+    smallest start is at most lo and the largest stop at least 1, as in both
+    denominator averages.
     """
-    m, n = hvals.shape
-    if a > b:
-        raise ValueError("empty denominator band: s_star too close to s_upper")
-    count = _band_count(n, a, b, lo, hi)
-    width = hi - lo
-    pad_lo, pad_hi = b + lo, n + b - hi
-    Q = np.empty((m, pad_lo + width + 1 + pad_hi))
-    Q[:, : pad_lo + 1] = 0.0
-    inner = hvals[:, lo:hi]
-    np.cumsum(inner * inner, axis=1, out=Q[:, pad_lo + 1 : pad_lo + width + 1])
-    Q[:, pad_lo + width + 1 :] = Q[:, pad_lo + width : pad_lo + width + 1]
+    width = vals.shape[-1]
+    starts, stops = zip(*spans)
+    first = min(starts)
+    pad_lo = lo - first
+    Q = np.empty(vals.shape[:-1] + (n + max(stops) - first,))
+    Q[..., : pad_lo + 1] = 0.0
+    np.cumsum(vals, axis=-1, out=Q[..., pad_lo + 1 : pad_lo + width + 1])
+    Q[..., pad_lo + width + 1 :] = Q[..., pad_lo + width : pad_lo + width + 1]
 
     def at(shift):  # Q at clip(j + shift, lo, hi) - lo, for j = 0 .. n-1
-        start = pad_lo - lo + shift
-        return Q[:, start : start + n]
+        return Q[..., shift - first : shift - first + n]
 
-    total = (at(b + 1) - at(a)) + (at(1 - a) - at(-b))
-    return total / count
+    (start, stop), *rest = spans
+    total = at(stop) - at(start)
+    for start, stop in rest:
+        # not +=, which frees the newer temporary: null chunks then fault ~1/3 more pages
+        total = total + (at(stop) - at(start))
+    total /= _window_count(n, lo, lo + width, spans)
+    return total
 
 
 def _xi_band(hstar: np.ndarray, s_star: float, s_upper: float) -> np.ndarray:
-    """Banded average of the squared s_star responses (rows of ``hstar``)."""
+    """Rolling two-sided average of the squared s_star responses (rows of ``hstar``).
+
+    Averages over the band ceil(n s_star) <= |i-j| <= floor(n s_upper),
+    truncated to the rows [hw, n - hw), hw = floor(n s_star).  Rows outside
+    that range carry boundary-truncated filter windows: they would leak level
+    shifts into the denominator, and under a large offset their size would
+    cancel the band differences, so they stay out of the cumulative sum.
+    """
     n = hstar.shape[1]
     a = int(math.ceil(n * s_star))
     b = int(math.floor(n * s_upper))
+    if a > b:
+        raise ValueError("empty denominator band: s_star too close to s_upper")
     hw = int(math.floor(n * s_star))
-    return _band_mean_sq(hstar, a, b, lo=hw, hi=n - hw)
-
-
-@lru_cache(maxsize=256)
-def _window_count(n: int, half: int) -> np.ndarray:
-    """Read-only number of points of the centered window of radius ``half`` in [0, n)."""
-    j = np.arange(n)
-    count = np.clip(j + half + 1, 0, n) - np.clip(j - half, 0, n)
-    count.flags.writeable = False
-    return count
-
-
-def _moving_average(x: np.ndarray, half: int) -> np.ndarray:
-    """Centered moving average along the last axis, truncated at the edges.
-
-    The cumulative sum is padded with its edge values, ``half`` on each
-    side, so both window ends are contiguous slices of it.
-    """
-    n = x.shape[-1]
-    Q = np.empty(x.shape[:-1] + (n + 1 + 2 * half,))
-    Q[..., : half + 1] = 0.0
-    np.cumsum(x, axis=-1, out=Q[..., half + 1 : half + 1 + n])
-    Q[..., half + 1 + n :] = Q[..., half + n : half + n + 1]
-    return (Q[..., 2 * half + 1 :] - Q[..., :n]) / _window_count(n, half)
+    inner = hstar[:, hw : n - hw]
+    return _windowed_mean(inner * inner, n, hw, ((a, b + 1), (-b, 1 - a)))
 
 
 def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
@@ -138,13 +124,14 @@ def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     The banded average Xi has few effective degrees of freedom (its terms
     are filter outputs with window-length correlation), and its dips inflate
     the self-normalized maximum well beyond the Gaussian-field tail.  A
-    further moving average across time, one band radius wide on each side,
-    suppresses that sampling noise while still tracking the local noise
-    level on the scale the band already pools over.
+    further moving average across time, one band radius wide on each side
+    (the same windowed mean with one span), suppresses that sampling noise
+    while still tracking the local noise level on the scale the band already
+    pools over.
     """
     raw = _xi_band(hstar, cfg.s_star, cfg.s_upper)
     half = max(1, int(math.floor(hstar.shape[1] * cfg.s_upper)))
-    return _moving_average(raw, half)
+    return _windowed_mean(raw, raw.shape[-1], 0, ((-half, half + 1),))
 
 
 def _field_batch(ymat: np.ndarray, cfg: ScaleConfig, filt):

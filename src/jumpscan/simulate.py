@@ -409,7 +409,7 @@ def _mc_one(task):
 
 
 def _pool_rows(tasks, threads):
-    """Replicates on ``threads`` forked workers; None if no worker can start.
+    """Replicates on at most ``threads`` forked workers; None if no worker can start.
 
     Only a failure to start the pool falls back to the serial loop: an
     error inside a replicate propagates, as it does serially.
@@ -421,10 +421,12 @@ def _pool_rows(tasks, threads):
         ctx = mp.get_context("fork")
     except ValueError:  # no fork on this platform
         return None
-    with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
+    # the fork context starts every worker at the first submit: none beyond the replicates
+    workers = min(threads, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         try:
             # submits every chunk, which starts the workers
-            rows = pool.map(_mc_one, tasks, chunksize=max(1, len(tasks) // (threads * 4)))
+            rows = pool.map(_mc_one, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
         except OSError:  # the workers could not be forked
             return None
         return list(rows)

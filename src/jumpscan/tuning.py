@@ -24,6 +24,7 @@ from .threshold import TailConstants, critical_value, tail_constants
 
 __all__ = [
     "MvReport",
+    "min_s_star",
     "select_s_star",
     "select_scales",
     "select_alpha",
@@ -93,6 +94,11 @@ class MvReport:
         return self.candidates[self.chosen_index]
 
 
+def min_s_star(n: int) -> float:
+    """Smallest denominator scale, (1/6) n^(-1/2) log^(1/2) n."""
+    return (1.0 / 6.0) * n ** -0.5 * math.log(n) ** 0.5
+
+
 def select_s_star(
     y,
     s_lower: float,
@@ -103,7 +109,7 @@ def select_s_star(
 ) -> MvReport:
     """Pick the denominator scale by minimum volatility of sqrt(Xi).
 
-    Candidates run linearly from (1/6) n^(-1/2) log^(1/2) n up to
+    Candidates run linearly from ``min_s_star(n)`` up to
     ``s_lower``; each interior candidate is scored by the worst-case (over
     time) sample variance of sqrt(Xi(t)) across its 2k+1 neighbors.
     """
@@ -111,7 +117,7 @@ def select_s_star(
     n = len(y)
     if m_candidates < 2 * k + 3:
         raise ValueError("m_candidates must be at least 2k + 3")
-    lo = (1.0 / 6.0) * n ** -0.5 * math.log(n) ** 0.5
+    lo = min_s_star(n)
     if lo >= s_lower:
         raise ValueError("s_lower below the smallest admissible candidate")
     cands = np.linspace(lo, s_lower, m_candidates)
@@ -121,8 +127,8 @@ def select_s_star(
         cands = cands[keep]
     if len(cands) < 2 * k + 1:
         raise ValueError("too few viable candidates after dropping small scales")
-    if not s_lower < s_upper <= 0.5:
-        raise ValueError("need s_lower < s_upper <= 1/2")
+    if not s_lower < s_upper < 0.5:
+        raise ValueError("need s_lower < s_upper < 1/2 (at s_upper = 1/2 the valid core is empty)")
     bank = filter_bank(y[None, :], cands, filt)
     roots = np.vstack([np.sqrt(_xi_band(hs, s, s_upper)[0]) for s, hs in zip(cands, bank)])
     b = int(math.floor(n * s_upper))
@@ -181,7 +187,7 @@ def select_scales(y, filt, grid1=None, grid2=None, k3: int = 2) -> MvReport:
     counts = np.full((k1, k2), -1, dtype=int)
     for i, sl in enumerate(grid1):
         for j, su in enumerate(grid2):
-            if sl >= su or su > 0.5:
+            if sl >= su or su >= 0.5:
                 continue
             cfg = ScaleConfig(s_lower=float(sl), s_upper=float(su), s_star=s_star_for(float(sl)))
             c = critical_value(_SWEEP_LEVEL, tail_constants(filt, cfg.s_lower, cfg.s_upper))

@@ -132,6 +132,16 @@ def test_detect_s_star_selection_error_exit_3(tmp_path, capsys):
     assert "s_lower below the smallest admissible candidate" in capsys.readouterr().err
 
 
+def test_detect_half_upper_scale_exit_3(tmp_path, capsys):
+    # at s_upper = 1/2 the valid core is empty: a configuration error, named
+    assert main(["simulate", "--scenario", "I:GS", "--n", "500", "--out", str(tmp_path)]) == 0
+    p = next(tmp_path.glob("*.csv"))
+    capsys.readouterr()
+    rc = main(["detect", "--input", str(p), "--out", str(tmp_path), "--s-lower", "0.2", "--s-upper", "0.5"])
+    assert rc == 3
+    assert "s_upper < 1/2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scales", [[], ["--s-lower", "0.061", "--s-upper", "0.167"]])
 def test_detect_constant_series_exit_3(tmp_path, capsys, scales):
     p = tmp_path / "flat.csv"

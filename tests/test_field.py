@@ -9,11 +9,11 @@ from jumpscan.convolve import filter_bank
 from jumpscan.field import (
     MIN_N,
     ScaleConfig,
-    _band_count,
-    _band_mean_sq,
     _field_batch,
-    _moving_average,
+    _window_count,
+    _windowed_mean,
     _xi_band,
+    _xi_smoothed,
     multiscale_field,
     scale_grid,
 )
@@ -58,6 +58,8 @@ def test_scale_config_validation():
         ScaleConfig(s_lower=0.1, s_upper=0.1, s_star=0.05)  # equal bounds
     with pytest.raises(ValueError):
         ScaleConfig(s_lower=0.1, s_upper=0.6, s_star=0.05)  # upper > 1/2
+    with pytest.raises(ValueError, match="s_upper < 1/2"):
+        ScaleConfig(s_lower=0.2, s_upper=0.5, s_star=0.05)  # empty valid core
     with pytest.raises(ValueError):
         ScaleConfig(s_lower=0.05, s_upper=0.1, s_star=0.07)  # star above lower
     cfg = ScaleConfig(0.05, 0.1, 0.004)
@@ -109,26 +111,52 @@ def moving_average_gather(x, half):
     return (Q[..., hi] - Q[..., lo]) / (hi - lo)
 
 
+def band_mean_sq(hvals, a, b, lo, hi):
+    """Band average of hvals**2 over a <= |i-j| <= b, truncated to [lo, hi)."""
+    inner = hvals[:, lo:hi]
+    return _windowed_mean(inner * inner, hvals.shape[1], lo, ((a, b + 1), (-b, 1 - a)))
+
+
+def moving_average(x, half):
+    """Centered moving average of radius ``half`` along the last axis."""
+    return _windowed_mean(x, x.shape[-1], 0, ((-half, half + 1),))
+
+
+def assert_windowed_means_match_gathers(h):
+    n = h.shape[1]
+    for s_star, s_upper in ((0.03, 0.167), (0.015, 0.1), (0.1, 0.45)):
+        a, b, hw = math.ceil(n * s_star), math.floor(n * s_upper), math.floor(n * s_star)
+        for lo, hi in ((hw, n - hw), (0, n)):
+            got = band_mean_sq(h, a, b, lo, hi)
+            assert np.array_equal(got, band_mean_sq_gather(h, a, b, lo, hi))
+            assert np.array_equal(moving_average(got, b), moving_average_gather(got, b))
+    for half in (1, 7, n - 1, n, 3 * n):
+        assert np.array_equal(moving_average(h, half), moving_average_gather(h, half))
+        assert np.array_equal(moving_average(h[0], half), moving_average_gather(h[0], half))
+
+
 @pytest.mark.parametrize("n", [137, 500, 2000])
 @pytest.mark.parametrize("shift, amp", [(0.0, 1.0), (1e9, 1.0), (0.0, 1e100), (0.0, 1e-100)])
 def test_band_and_moving_average_match_gathers_bitwise(n, shift, amp):
     rng = np.random.default_rng(n)
-    h = shift + amp * rng.standard_normal((3, n))
-    for s_star, s_upper in ((0.03, 0.167), (0.015, 0.1), (0.1, 0.45)):
-        a, b, hw = math.ceil(n * s_star), math.floor(n * s_upper), math.floor(n * s_star)
-        for lo, hi in ((hw, n - hw), (0, n)):
-            got = _band_mean_sq(h, a, b, lo, hi)
-            assert np.array_equal(got, band_mean_sq_gather(h, a, b, lo, hi))
-            assert np.array_equal(_moving_average(got, b), moving_average_gather(got, b))
-    for half in (1, 7, n - 1, n, 3 * n):
-        assert np.array_equal(_moving_average(h, half), moving_average_gather(h, half))
-        assert np.array_equal(_moving_average(h[0], half), moving_average_gather(h[0], half))
+    assert_windowed_means_match_gathers(shift + amp * rng.standard_normal((3, n)))
+
+
+def test_windowed_mean_matches_gathers_on_a_null_chunk():
+    # 128 rows: the shape of one chunk of the null simulation
+    assert_windowed_means_match_gathers(np.random.default_rng(128).standard_normal((128, 2000)))
 
 
 def test_band_counts_cached_read_only():
-    count = _band_count(500, 15, 83, 15, 485)
-    assert _band_count(500, 15, 83, 15, 485) is count
+    spans = ((15, 84), (-83, -14))
+    count = _window_count(500, 15, 485, spans)
+    assert _window_count(500, 15, 485, spans) is count
     assert not count.flags.writeable
+    # the band and the moving average fill the one cache
+    _window_count.cache_clear()
+    (hstar,) = filter_bank(np.random.default_rng(5).standard_normal((1, 500)), [0.03], W)
+    _xi_smoothed(hstar, CFG500)
+    assert _window_count.cache_info().currsize == 2
 
 
 def test_xi_scales_quadratically():

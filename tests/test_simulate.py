@@ -269,6 +269,37 @@ def test_monte_carlo_replicate_error_not_rerun_serially(monkeypatch):
     assert _CALLER_PIDS.count(os.getpid()) == 0
 
 
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor: records the pool asked for, starts no process."""
+
+    asked = []
+
+    def __init__(self, max_workers, mp_context):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize):
+        self.asked.append(chunksize)
+        return map(fn, tasks)
+
+
+def test_monte_carlo_pool_capped_at_replicates(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    _SerialPool.asked.clear()
+    det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05, threshold_mode="fixed:4.0")
+    sc = PlsScenario.make("I", "GS", n=500)
+    m = monte_carlo(sc, det, R=50, seed=1, threads=500)
+    assert _SerialPool.asked == [50, 1]  # max_workers, chunksize
+    assert m["counts"] == monte_carlo(sc, det, R=50, seed=1)["counts"]
+
+
 def test_replicate_at_a_fixed_level_is_detect_pipeline():
     sc = PlsScenario.make("II", "PLS", n=500)
     det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05, z=0.05)

@@ -50,6 +50,9 @@ def test_select_s_star_preconditions():
     y = np.random.default_rng(0).standard_normal(500)
     with pytest.raises(ValueError, match="m_candidates"):
         select_s_star(y, 0.061, 0.167, W, k=2, m_candidates=5)
+    # at s_upper = 1/2 the valid core is empty
+    with pytest.raises(ValueError, match="s_upper < 1/2"):
+        select_s_star(y, 0.2, 0.5, W)
 
 
 def test_select_s_star_report_minimizes():
