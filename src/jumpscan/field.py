@@ -198,28 +198,41 @@ class MultiscaleField:
         return float(self.grid[self.arg[j]])
 
 
+def _multiscale_fields(ymat: np.ndarray, cfg: ScaleConfig, filt) -> list:
+    """The multiscale statistic of each row of the (m, n) ``ymat``, as one batch.
+
+    One ``_field_batch`` serves every row, and one running max/arg-max over
+    the scales covers the whole (m, n) block, so row i is bitwise the field
+    of ``ymat[i]`` alone.  Raises ``ValueError`` as ``multiscale_field``
+    does when any row has no valid point.
+    """
+    m, n = ymat.shape
+    if n < MIN_N:
+        raise ValueError(f"series too short (n >= {MIN_N} required)")
+    grid, xi, valid, bank = _field_batch(ymat, cfg, filt)
+    if not valid.any(axis=1).all():
+        raise ValueError("no valid point: the denominator is degenerate (constant series?)")
+    # running max over scales; a strict comparison keeps the first arg-max
+    hmax = np.abs(next(bank))
+    arg = np.zeros((m, n), dtype=np.int16)
+    for u, hs in enumerate(bank, start=1):
+        h = np.abs(hs, out=hs)
+        np.copyto(arg, u, where=h > hmax)
+        np.maximum(hmax, h, out=hmax)
+    g = _self_normalized(hmax, xi, valid, np.nan)
+    u11 = filt.moments().u11
+    return [
+        MultiscaleField(grid=grid, hmax=hmax[i], arg=arg[i], xi=xi[i], g=g[i],
+                        valid=valid[i], cfg=cfg, u11=u11)
+        for i in range(m)
+    ]
+
+
 def multiscale_field(y, cfg: ScaleConfig, filt) -> MultiscaleField:
     """Build the full multiscale statistic for one series.
 
     Raises ``ValueError`` when no point of the valid core has a
     non-degenerate denominator (a constant series, for one).
     """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if n < MIN_N:
-        raise ValueError(f"series too short (n >= {MIN_N} required)")
-    grid, xi, valid, bank = _field_batch(y[None, :], cfg, filt)
-    xi, valid = xi[0], valid[0]
-    if not valid.any():
-        raise ValueError("no valid point: the denominator is degenerate (constant series?)")
-    # running max over scales; a strict comparison keeps the first arg-max
-    hmax = np.abs(next(bank)[0])
-    arg = np.zeros(n, dtype=np.int16)
-    for u, hs in enumerate(bank, start=1):
-        h = np.abs(hs[0], out=hs[0])
-        np.copyto(arg, u, where=h > hmax)
-        np.maximum(hmax, h, out=hmax)
-    return MultiscaleField(
-        grid=grid, hmax=hmax, arg=arg, xi=xi, g=_self_normalized(hmax, xi, valid, np.nan),
-        valid=valid, cfg=cfg, u11=filt.moments().u11,
-    )
+    (field_,) = _multiscale_fields(np.asarray(y, dtype=float)[None, :], cfg, filt)
+    return field_

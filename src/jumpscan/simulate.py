@@ -6,6 +6,14 @@ time-varying moving-average expansion, each driven by one of several
 standardized innovation families.  Mean models combine smooth trends with
 step components carrying a known jump set, which the Monte-Carlo harness
 scores detections against.
+
+Generation is batched: one call makes an (m, n) matrix of series, one row
+per generator.  The mean, the time-varying coefficients and their lag
+products depend on t only and are computed once for all rows; only the
+innovations are drawn per row, so each row is bitwise the series its
+generator gives alone, and ``gen_series`` is the one-row case.  The
+Monte-Carlo harness runs replicates in chunks, each one generator call and,
+with fixed scales, one batch of multiscale fields.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import _resolve_threshold
-from .field import MIN_N, ScaleConfig
-from .tuning import auto_detect
+from .field import MIN_N, ScaleConfig, _multiscale_fields
+from .tuning import _detect_on_field, _level, auto_detect
 from .util import rng_for
 
 __all__ = [
@@ -33,8 +41,8 @@ __all__ = [
 ]
 
 _MA_TRUNC = 40  # |coef| <= 0.4 => truncation error below 1e-15
-# values per block of stacked lag terms (1 MB of float64)
-_TERM_BUDGET = 1 << 17
+# series values, burn-in included, that one chunk of Monte-Carlo replicates generates at most
+_CHUNK_VALUES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -59,75 +67,74 @@ def _innovations(kind: str, size: int, rng) -> np.ndarray:
 # recursions
 # ---------------------------------------------------------------------------
 
-def _ordered_sum(first: np.ndarray, count: int, term) -> np.ndarray:
-    """first + term_1 + ... + term_count, added one after another.
+def _lag_sum(v: np.ndarray, count: int, coef) -> np.ndarray:
+    """v + c_1 * v_1 + ... + c_count * v_count, added in place one after another.
 
-    Term j is zero before index j; ``term(j, out)`` writes the rest of it,
-    ``out[j:]``, into a zeroed row.  Terms are stacked as rows of a buffer
-    of at most ``_TERM_BUDGET`` values and summed by ``np.add.reduce`` over
-    axis 0, which adds the rows in order; the running sum is carried into
-    the first row of the next block.  The result is therefore bitwise equal
-    to ``acc += term_j`` for j = 1, ..., count.
+    ``v`` is an (m, total) matrix and v_j is v shifted right by j columns
+    (zero before column j).  ``coef(j)`` returns c_j along the t axis,
+    shared by every row; it is called for j = 1, 2, ... in turn.  Each
+    term is rounded once and added in lag order, as a running ``acc += c_j
+    * v_j`` does, so a row's sum does not depend on the other rows.
     """
-    total = len(first)
-    rows = max(2, min(count + 1, _TERM_BUDGET // total))
-    terms = np.empty((rows, total))
-    acc = first
-    for start in range(1, count + 1, rows - 1):
-        block = range(start, min(start + rows - 1, count + 1))
-        terms[0] = acc
-        terms[1:] = 0.0
-        for k, j in enumerate(block, start=1):
-            term(j, terms[k])
-        acc = np.add.reduce(terms[: len(block) + 1], axis=0)
+    total = v.shape[1]
+    acc = v.copy()
+    term = np.empty_like(v)
+    for j in range(1, count + 1):
+        np.multiply(coef(j)[j:], v[:, : total - j], out=term[:, j:])
+        acc[:, j:] += term[:, j:]
     return acc
 
 
-def _tv_arma(n, burn_in, phi, theta, kind, rng):
+def _draws(kind: str, size: int, rngs) -> np.ndarray:
+    """(len(rngs), size) innovations, row i drawn from ``rngs[i]``."""
+    return np.stack([_innovations(kind, size, rng) for rng in rngs])
+
+
+def _tv_arma(n, burn_in, phi, theta, kind, rngs):
     """Time-varying ARMA(1,1): x_i = phi(t_i) x_{i-1} + e_i + theta(t_i) e_{i-1}.
 
-    Evaluated through the unrolled product expansion so the whole path is
-    vectorized; ``burn_in`` pre-sample innovations serve the expansion,
-    with t clamped at the first in-sample point.  With u_i = e_i +
-    theta(t_i) e_{i-1}, x_i = u_i + sum_j amp_j(i) u_{i-j}, where amp_j(i)
-    = phi(t_i) ... phi(t_{i-j+1}) is updated in place lag by lag.  The lag
-    terms are stacked and summed in lag order (``_ordered_sum``), the order
-    of a running ``acc += amp_j * u_{. - j}``.
+    One path per generator in ``rngs``, returned as the rows of an (m, n)
+    matrix.  Evaluated through the unrolled product expansion so the whole
+    batch is vectorized; ``burn_in`` pre-sample innovations serve the
+    expansion, with t clamped at the first in-sample point.  With u_i = e_i
+    + theta(t_i) e_{i-1}, x_i = u_i + sum_j amp_j(i) u_{i-j}, where amp_j(i)
+    = phi(t_i) ... phi(t_{i-j+1}) depends on t only: it is updated in place
+    lag by lag and shared by every row, and the lag terms are added in lag
+    order (``_lag_sum``).
     """
     total = burn_in + n
     t = np.maximum(np.arange(-burn_in, n) + 1, 1) / n
-    eta = _innovations(kind, total + 1, rng)
+    eta = _draws(kind, total + 1, rngs)
     th = theta(t) if callable(theta) else np.full(total, float(theta))
     ph = phi(t) if callable(phi) else np.full(total, float(phi))
-    u = eta[1:] + th * eta[:-1]
+    u = eta[:, 1:] + th * eta[:, :-1]
     pmax = float(np.max(np.abs(ph)))
     if pmax >= 0.999:
         raise ValueError("AR coefficient too close to 1")
     if pmax == 0:
-        return u[burn_in:]
+        return u[:, burn_in:]
     lag = min(total, int(math.ceil(math.log(1e-15) / math.log(max(pmax, 1e-6)))))
     amp = np.ones(total)
 
-    def term(j, out):
+    def coef(j):
         amp[j - 1 :] *= ph[: total - j + 1]
-        np.multiply(amp[j:], u[: total - j], out=out[j:])
+        return amp
 
-    return _ordered_sum(u, lag, term)[burn_in:]
+    return _lag_sum(u, lag, coef)[:, burn_in:]
 
 
-def _tv_ma(n, burn_in, base, amp, kind, rng, trunc=_MA_TRUNC):
-    """Explicit MA expansion x_i = amp(t_i) * sum_j base(t_i)^j eta_{i-j}."""
+def _tv_ma(n, burn_in, base, amp, kind, rngs, trunc=_MA_TRUNC):
+    """Explicit MA expansion x_i = amp(t_i) * sum_j base(t_i)^j eta_{i-j}, one row per generator."""
     total = burn_in + n
     t = np.maximum(np.arange(-burn_in, n) + 1, 1) / n
-    eta = _innovations(kind, total, rng)
+    eta = _draws(kind, total, rngs)
     b = base(t)
     bp = np.ones(total)
 
-    def term(j, out):
-        np.multiply(bp, b, out=bp)
-        np.multiply(bp[j:], eta[: total - j], out=out[j:])
+    def coef(j):
+        return np.multiply(bp, b, out=bp)
 
-    return (amp(t) * _ordered_sum(eta, trunc, term))[burn_in:]
+    return (amp(t) * _lag_sum(eta, trunc, coef))[:, burn_in:]
 
 
 # ---------------------------------------------------------------------------
@@ -159,39 +166,39 @@ def _plsn_g(n: int):
     return lambda t: _steps(t, kf + 1, kf)
 
 
-def _noise_gs(n, burn_in, rng):
-    return rng.standard_normal(n)
+def _noise_gs(n, burn_in, rngs):
+    return _draws("normal", n, rngs)
 
 
-def _noise_ps(n, burn_in, rng):
-    g0 = _tv_arma(n, burn_in, 0.25, 0.0, "chisq3", rng)
-    g1 = _tv_arma(n, burn_in, -0.25, 0.0, "chisq3", rng)
+def _noise_ps(n, burn_in, rngs):
+    g0 = _tv_arma(n, burn_in, 0.25, 0.0, "chisq3", rngs)
+    g1 = _tv_arma(n, burn_in, -0.25, 0.0, "chisq3", rngs)
     t = (np.arange(n) + 1) / n
     return np.where(t <= 0.5, 0.75 * g0, 1.25 * g1)
 
 
-def _noise_arma(n, burn_in, rng):
-    x = _tv_arma(n, burn_in, 0.3, 0.5, "normal", rng)
+def _noise_arma(n, burn_in, rngs):
+    x = _tv_arma(n, burn_in, 0.3, 0.5, "normal", rngs)
     return x / 2.142857
 
 
-def _noise_ls(n, burn_in, rng):
-    g = _tv_arma(n, burn_in, lambda t: 0.5 * t - 0.2, 0.0, "rademacher", rng)
+def _noise_ls(n, burn_in, rngs):
+    g = _tv_arma(n, burn_in, lambda t: 0.5 * t - 0.2, 0.0, "rademacher", rngs)
     t = (np.arange(n) + 1) / n
     return (1.0 + 0.5 * t) * g
 
 
-def _noise_pls(n, burn_in, rng):
-    g0 = _tv_arma(n, burn_in, lambda t: 0.5 - t, lambda t: 0.2 - 0.5 * t, "t6", rng)
+def _noise_pls(n, burn_in, rngs):
+    g0 = _tv_arma(n, burn_in, lambda t: 0.5 - t, lambda t: 0.2 - 0.5 * t, "t6", rngs)
     g1 = _tv_arma(
         n, burn_in, lambda t: 0.5 * np.sin(2 * np.pi * t), lambda t: 0.5 * (t - 0.2) ** 2,
-        "t6", rng,
+        "t6", rngs,
     )
     t = (np.arange(n) + 1) / n
     return np.where(t <= 0.4, g0, g1)
 
 
-def _noise_psn(n, burn_in, rng):
+def _noise_psn(n, burn_in, rngs):
     def a(t):
         b = (
             -0.3 * ((t > 0) & (t <= 0.25))
@@ -201,17 +208,17 @@ def _noise_psn(n, burn_in, rng):
         )
         return 1.25 * b
 
-    return _tv_arma(n, burn_in, a, 0.0, "chisq3", rng)
+    return _tv_arma(n, burn_in, a, 0.0, "chisq3", rngs)
 
 
-def _noise_lsn(n, burn_in, rng):
+def _noise_lsn(n, burn_in, rngs):
     return _tv_arma(
         n, burn_in, lambda t: 3.0 * (t - 0.5) ** 2 - 0.3, lambda t: 0.2 - 0.4 * t,
-        "t8", rng,
+        "t8", rngs,
     )
 
 
-def _noise_plsn(n, burn_in, rng):
+def _noise_plsn(n, burn_in, rngs):
     g = _plsn_g(n)
     return _tv_ma(
         n,
@@ -219,13 +226,13 @@ def _noise_plsn(n, burn_in, rng):
         base=lambda t: 0.2 * np.cos(2 * np.pi * t) + 0.2 * g(t),
         amp=lambda t: 0.6 * (1.0 + 0.7 * g(t)),
         kind="normal",
-        rng=rng,
+        rngs=rngs,
     )
 
 
-def _noise_smoothpls(n, burn_in, rng):
-    g0 = _tv_arma(n, burn_in, lambda t: 0.5 * t - 0.2, 0.0, "t8", rng)
-    g1 = _tv_arma(n, burn_in, lambda t: 0.6 * np.cos(2 * np.pi * t), 0.0, "t8", rng)
+def _noise_smoothpls(n, burn_in, rngs):
+    g0 = _tv_arma(n, burn_in, lambda t: 0.5 * t - 0.2, 0.0, "t8", rngs)
+    g1 = _tv_arma(n, burn_in, lambda t: 0.6 * np.cos(2 * np.pi * t), 0.0, "t8", rngs)
     t = (np.arange(n) + 1) / n
     return np.where(t <= 0.6, g0, g1)
 
@@ -342,7 +349,14 @@ class PlsScenario:
         )
 
 
-def _generate(sc: PlsScenario, rng):
+def _generate(sc: PlsScenario, rngs):
+    """(m, n) series of ``sc``, row i driven by ``rngs[i]``, and the true jumps.
+
+    The mean and every time-varying coefficient are computed once for the
+    batch; only the innovations are per row, each row's generator drawing
+    them in the order a one-row call does.  Row i is therefore bitwise the
+    series that ``_generate(sc, [rngs[i]])`` returns.
+    """
     if sc.n < MIN_N:
         raise ValueError(f"n must be at least {MIN_N}")
     if sc.mean_model not in MEAN_MODELS:
@@ -351,13 +365,14 @@ def _generate(sc: PlsScenario, rng):
         raise ValueError(f"unknown noise model {sc.noise_model!r}")
     t = (np.arange(sc.n) + 1.0) / sc.n
     beta, truth = MEAN_MODELS[sc.mean_model](t, sc)
-    eps = NOISE_MODELS[sc.noise_model](sc.n, sc.burn_in, rng)
+    eps = NOISE_MODELS[sc.noise_model](sc.n, sc.burn_in, rngs)
     return beta + sc.noise_scale * eps, truth
 
 
 def gen_series(sc: PlsScenario):
     """Simulate one series; returns (y, truth) with truth = [(loc, size), ...]."""
-    return _generate(sc, rng_for(sc.seed))
+    ymat, truth = _generate(sc, [rng_for(sc.seed)])
+    return ymat[0], truth
 
 
 # ---------------------------------------------------------------------------
@@ -388,31 +403,64 @@ def _mad(estimates, truth):
     return float(np.mean([abs(a - b) for a, b in zip(est, tru)]))
 
 
-def _mc_one(task):
-    """One replicate; module-level so process pools can ship it."""
-    sc, det, seed, r = task
+def _chunks(R: int, workers: int, row_values: int) -> list:
+    """Contiguous, near-equal ranges of replicates covering 0 .. R-1.
+
+    A multiple of ``workers`` of them (so each worker gets as many), each of
+    at most ``_CHUNK_VALUES // row_values`` replicates, and never more
+    ranges than replicates.
+    """
+    most = max(1, _CHUNK_VALUES // row_values)
+    count = min(R, workers * -(-R // (workers * most)))
+    bounds = [R * i // count for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _mc_chunk(task):
+    """A chunk of replicates as one batch; module-level so process pools can ship it.
+
+    One ``_generate`` call makes every series of the chunk.  With fixed
+    scales one ``_multiscale_fields`` batch builds their fields, and level,
+    peaks and refinement then run per row on each field, as ``auto_detect``
+    runs them; with automatic scales each row runs the whole
+    ``auto_detect``.  Returns one (count, hit, mad_raw, mad_refined,
+    detection s, generation s) row per replicate, the chunk's times shared
+    evenly by its replicates.
+    """
+    sc, det, seed, reps = task
     filt = det.filter()
+    alpha = _level(det.alpha)
     t_gen = time.perf_counter()
-    y, truth = _generate(sc, rng_for(seed, r))
+    ymat, truth = _generate(sc, [rng_for(seed, r) for r in reps])
     t0 = time.perf_counter()
-    res, _ = auto_detect(
-        y, filt, cfg=det.cfg, alpha=det.alpha,
-        threshold_mode=det.threshold_mode, z=det.z,
-    )
-    dt = time.perf_counter() - t0
-    hit = res.count == len(truth)
-    mad_raw = mad_ref = math.nan
-    if hit and truth:
-        mad_raw = _mad([j.location for j in res.jumps_raw], truth)
-        mad_ref = _mad(res.jumps_refined, truth)
-    return res.count, hit, mad_raw, mad_ref, dt, t0 - t_gen
+    if det.cfg is None:
+        results = [
+            auto_detect(y, filt, alpha=alpha, threshold_mode=det.threshold_mode, z=det.z)[0]
+            for y in ymat
+        ]
+    else:
+        results = [
+            _detect_on_field(y, f, filt, alpha, {}, threshold_mode=det.threshold_mode, z=det.z)
+            for y, f in zip(ymat, _multiscale_fields(ymat, det.cfg, filt))
+        ]
+    dt = (time.perf_counter() - t0) / len(reps)
+    gen = (t0 - t_gen) / len(reps)
+    rows = []
+    for res in results:
+        hit = res.count == len(truth)
+        mad_raw = mad_ref = math.nan
+        if hit and truth:
+            mad_raw = _mad([j.location for j in res.jumps_raw], truth)
+            mad_ref = _mad(res.jumps_refined, truth)
+        rows.append((res.count, hit, mad_raw, mad_ref, dt, gen))
+    return rows
 
 
-def _pool_rows(tasks, threads):
-    """Replicates on at most ``threads`` forked workers; None if no worker can start.
+def _pool_chunks(tasks, workers):
+    """Chunks on ``workers`` forked processes; None if no worker can start.
 
     Only a failure to start the pool falls back to the serial loop: an
-    error inside a replicate propagates, as it does serially.
+    error inside a chunk propagates, as it does serially.
     """
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
@@ -421,15 +469,13 @@ def _pool_rows(tasks, threads):
         ctx = mp.get_context("fork")
     except ValueError:  # no fork on this platform
         return None
-    # the fork context starts every worker at the first submit: none beyond the replicates
-    workers = min(threads, len(tasks))
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         try:
             # submits every chunk, which starts the workers
-            rows = pool.map(_mc_one, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+            chunks = pool.map(_mc_chunk, tasks)
         except OSError:  # the workers could not be forked
             return None
-        return list(rows)
+        return list(chunks)
 
 
 def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0, threads: int = 1):
@@ -439,23 +485,33 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     true count; location errors (MAD, per replicate the mean absolute
     deviation after sorting) are aggregated over hits only.  Replicates use
     independent streams derived from (seed, r), so results do not depend on
-    the worker count.  Parallel replicates run in forked worker processes
-    (the replicate loop is small-array bound, which starves thread pools).
-    ``mean_runtime`` is the mean detection time per replicate and
-    ``mean_gen_runtime`` the mean time spent generating its series.
+    the worker count or on how replicates are batched.
+
+    Replicates run in contiguous chunks (``_chunks``), one per worker and
+    none of more than ``_CHUNK_VALUES`` series values; each chunk generates
+    its series in one batch and, with fixed scales, builds their fields in
+    one batch (``_mc_chunk``).  With ``threads`` > 1 the chunks run in
+    forked worker processes (the replicate loop is small-array bound, which
+    starves thread pools).  ``mean_runtime`` and ``mean_gen_runtime`` are
+    the mean detection and generation times per replicate: each chunk's
+    times shared evenly by its replicates.
     """
     if R < 50:
         raise ValueError("R must be at least 50")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
 
     # warm the calibration caches before forking, at a replicate's seed and
     # thread count; automatic scales differ per replicate, so there is nothing to warm
     if det.cfg is not None:
         _resolve_threshold(det.threshold_mode, 0.10, det.cfg, det.filter(), sc.n, 0, 1)
 
-    tasks = [(sc, det, seed, r) for r in range(R)]
-    rows = _pool_rows(tasks, threads) if threads > 1 else None
-    if rows is None:
-        rows = [_mc_one(t) for t in tasks]
+    workers = min(threads, R)
+    tasks = [(sc, det, seed, reps) for reps in _chunks(R, workers, sc.burn_in + sc.n)]
+    chunks = _pool_chunks(tasks, workers) if workers > 1 else None
+    if chunks is None:
+        chunks = [_mc_chunk(t) for t in tasks]
+    rows = [row for chunk in chunks for row in chunk]
     counts = np.array([r[0] for r in rows])
     hits = np.array([r[1] for r in rows])
     mr = np.array([r[2] for r in rows])

@@ -325,7 +325,6 @@ def auto_detect(
     _parse_threshold(threshold_mode)
     alpha = _level(alpha)
     y = np.asarray(y, dtype=float)
-    n = len(y)
     info = {}
     if cfg is None:
         pair = select_scales(y, filt)
@@ -337,6 +336,27 @@ def auto_detect(
     info["config"] = cfg
     field_ = multiscale_field(y, cfg, filt)
     info["field"] = field_
+    res = _detect_on_field(
+        y, field_, filt, alpha, info, threshold_mode=threshold_mode, seed=seed, z=z,
+        alpha_tilde=alpha_tilde, threads=threads,
+    )
+    return res, info
+
+
+def _detect_on_field(
+    y, field_, filt, alpha, info, *, threshold_mode="analytic", seed=0, z=None,
+    alpha_tilde=1.5, threads=1,
+):
+    """What :func:`auto_detect` does once the field of ``y`` is built.
+
+    ``alpha`` is ``'auto'`` or a level already checked by ``_level``; the
+    keywords and their defaults are those of :func:`auto_detect`.  With
+    ``'auto'`` the level is settled from the field (``select_alpha``, then
+    the probe); the level choices go into ``info``, and one detection pass
+    runs on ``field_``.
+    """
+    cfg = field_.cfg
+    n = field_.n
 
     def level_pass(level):
         return detect_pipeline(
@@ -346,7 +366,7 @@ def auto_detect(
 
     if alpha != "auto":
         info["alpha"] = alpha
-        return level_pass(alpha), info
+        return level_pass(alpha)
 
     tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
     corr = _resolve_threshold(threshold_mode, 0.10, cfg, filt, n, seed, threads)[1]
@@ -396,4 +416,4 @@ def auto_detect(
     res = level_pass(level)
     info["alpha"] = res.alpha
     info["sigma_sup"] = sigma
-    return res, info
+    return res

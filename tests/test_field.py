@@ -10,6 +10,7 @@ from jumpscan.field import (
     MIN_N,
     ScaleConfig,
     _field_batch,
+    _multiscale_fields,
     _window_count,
     _windowed_mean,
     _xi_band,
@@ -185,6 +186,33 @@ def test_constant_input_raises(level):
     # an all-invalid statistic that reads as "no jumps"
     with pytest.raises(ValueError, match="no valid point"):
         multiscale_field(np.full(500, level), CFG500, W)
+
+
+def test_row_batched_fields_match_one_row_fields_bitwise():
+    # rows of different spread and offset, one with a step; the batch must
+    # not mix rows or change any per-row result
+    rng = rng_for(21)
+    t = (np.arange(500) + 1) / 500
+    ymat = np.vstack([
+        rng.standard_normal(500),
+        1e6 + 3.0 * rng.standard_normal(500),
+        2.5 * (t > 0.5) + 0.2 * rng.standard_normal(500),
+    ])
+    batch = _multiscale_fields(ymat, CFG500, W)
+    assert len(batch) == len(ymat)
+    for y, got in zip(ymat, batch):
+        one = multiscale_field(y, CFG500, W)
+        for name in ("hmax", "arg", "xi", "g", "valid"):
+            a, b = getattr(got, name), getattr(one, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=name == "g"), name
+        assert np.array_equal(got.grid, one.grid) and got.u11 == one.u11
+
+
+def test_constant_row_in_a_batch_raises():
+    ymat = rng_for(22).standard_normal((3, 500))
+    ymat[1] = 3.0
+    with pytest.raises(ValueError, match="no valid point"):
+        _multiscale_fields(ymat, CFG500, W)
 
 
 def test_xi_band_empty_errors():

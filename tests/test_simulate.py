@@ -17,9 +17,10 @@ from jumpscan.simulate import (
     increasing_jump_count,
     increasing_jump_size,
     monte_carlo,
+    _chunks,
     _innovations,
     _mad,
-    _mc_one,
+    _mc_chunk,
     _plsn_g,
     _tv_arma,
 )
@@ -27,8 +28,8 @@ from jumpscan.tuning import auto_detect
 from jumpscan.util import rng_for
 
 
-# Lag-by-lag forms of the two expansions, kept as oracles: the generators
-# must reproduce them bit for bit.
+# Lag-by-lag, one-generator forms of the two expansions, kept as oracles:
+# every row of the batched generators must reproduce them bit for bit.
 
 def _tv_arma_loop(n, burn_in, phi, theta, kind, rng):
     total = burn_in + n
@@ -67,32 +68,37 @@ def _tv_ma_loop(n, burn_in, base, amp, kind, rng, trunc=40):
     return (amp(t) * acc)[burn_in:]
 
 
-def _noise_draws(name, sizes=(100, 500, 2000), seeds=range(3)):
-    return {(n, s): NOISE_MODELS[name](n, 500, rng_for(s)) for n in sizes for s in seeds}
+def _tv_arma_rows(n, burn_in, phi, theta, kind, rngs):
+    return np.stack([_tv_arma_loop(n, burn_in, phi, theta, kind, rng) for rng in rngs])
+
+
+def _tv_ma_rows(n, burn_in, base, amp, kind, rngs):
+    return np.stack([_tv_ma_loop(n, burn_in, base, amp, kind, rng) for rng in rngs])
+
+
+def _noise_draws(name, sizes=(100, 500, 2000), seeds=range(3), m=1):
+    """(m, n) draws per (n, seed); row k from the generator of (seed, k)."""
+    return {
+        (n, s): NOISE_MODELS[name](n, 500, [rng_for(s, k) for k in range(m)])
+        for n in sizes for s in seeds
+    }
 
 
 @pytest.mark.parametrize("name", sorted(NOISE_MODELS))
 def test_noise_expansions_match_lag_loops_bitwise(name, monkeypatch):
-    fast = _noise_draws(name)
-    monkeypatch.setattr(simulate, "_tv_arma", _tv_arma_loop)
-    monkeypatch.setattr(simulate, "_tv_ma", _tv_ma_loop)
-    for key, x in _noise_draws(name).items():
-        assert np.array_equal(fast[key], x), key
-
-
-@pytest.mark.parametrize("budget", [1, 4000])
-def test_blocked_lag_sum_matches_lag_loops_bitwise(budget, monkeypatch):
-    # blocks of 2 and of 4 rows: the running sum is carried across blocks
-    whole = {name: _noise_draws(name, sizes=(500,)) for name in ("PLS", "LSnP", "PLSnP")}
-    monkeypatch.setattr(simulate, "_TERM_BUDGET", budget)
-    for name, draws in whole.items():
-        for key, x in _noise_draws(name, sizes=(500,)).items():
-            assert np.array_equal(draws[key], x), (name, key)
+    fast = {m: _noise_draws(name, m=m) for m in (1, 3)}
+    monkeypatch.setattr(simulate, "_tv_arma", _tv_arma_rows)
+    monkeypatch.setattr(simulate, "_tv_ma", _tv_ma_rows)
+    for m in (1, 3):
+        for key, x in _noise_draws(name, m=m).items():
+            assert fast[m][key].shape == x.shape == (m, key[0])
+            for k in range(m):
+                assert np.array_equal(fast[m][key][k], x[k]), (m, key, k)
 
 
 def test_zero_ar_coefficient_is_the_ma_part():
     for theta in (0.0, 0.5, lambda t: 0.2 - 0.4 * t):
-        x = _tv_arma(300, 500, 0.0, theta, "t8", rng_for(4))
+        (x,) = _tv_arma(300, 500, 0.0, theta, "t8", [rng_for(4)])
         assert np.array_equal(x, _tv_arma_loop(300, 500, 0.0, theta, "t8", rng_for(4)))
 
 
@@ -226,14 +232,20 @@ def test_all_noise_models_run_and_are_centered():
         assert abs(np.mean(y)) < 0.25
 
 
+def _assert_same_replicates(m1, m2):
+    assert m1["counts"] == m2["counts"]
+    np.testing.assert_array_equal(m1["mad_raw_all"], m2["mad_raw_all"])
+    np.testing.assert_array_equal(m1["mad_refined_all"], m2["mad_refined_all"])
+
+
 def test_monte_carlo_metrics_and_determinism():
     cfg = ScaleConfig(0.061, 0.167, 0.03)
     det = DetectorSpec(cfg=cfg, alpha=0.05)
     sc = PlsScenario.make("I", "GS", n=500)
-    m1 = monte_carlo(sc, det, R=50, seed=9)
-    m2 = monte_carlo(sc, det, R=50, seed=9, threads=2)
-    assert m1["counts"] == m2["counts"]
-    assert m1["mad_refined"] == m2["mad_refined"]
+    # R = 50 on 1, 2 and 3 workers: one chunk, two even ones, three uneven ones
+    m1, *rest = [monte_carlo(sc, det, R=50, seed=9, threads=k) for k in (1, 2, 3)]
+    for m2 in rest:
+        _assert_same_replicates(m1, m2)
     assert m1["hit_rate"] >= 0.9
     assert m1["mad_refined"] <= 0.01
 
@@ -241,28 +253,38 @@ def test_monte_carlo_metrics_and_determinism():
 def test_monte_carlo_auto_level_thread_invariant():
     det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha="auto")
     sc = PlsScenario.make("II", "PLS", n=500)
-    m1 = monte_carlo(sc, det, R=50, seed=4)
-    m2 = monte_carlo(sc, det, R=50, seed=4, threads=2)
-    assert m1["counts"] == m2["counts"]
-    np.testing.assert_array_equal(m1["mad_raw_all"], m2["mad_raw_all"])
-    np.testing.assert_array_equal(m1["mad_refined_all"], m2["mad_refined_all"])
-    for m in (m1, m2):
+    runs = [monte_carlo(sc, det, R=50, seed=4, threads=k) for k in (1, 2, 3)]
+    for m in runs:
+        _assert_same_replicates(runs[0], m)
         assert m["mean_gen_runtime"] > 0 and m["mean_runtime"] > 0
+
+
+def test_chunks_cover_replicates_in_near_equal_ranges(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK_VALUES", 10_000)
+    for R, workers, row_values in [(50, 1, 1000), (50, 3, 1000), (100, 2, 1000),
+                                   (400, 2, 5500), (50, 4, 100_500), (50, 50, 1000)]:
+        chunks = _chunks(R, workers, row_values)
+        assert [r for c in chunks for r in c] == list(range(R))
+        sizes = [len(c) for c in chunks]
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= max(1, 10_000 // row_values)
+        assert len(chunks) % workers == 0 or len(chunks) == R
+    assert [len(c) for c in _chunks(50, 3, 1000)] == [8, 8, 9, 8, 8, 9]
 
 
 _CALLER_PIDS = []
 
 
-def _recording_mc_one(task):
+def _recording_mc_chunk(task):
     _CALLER_PIDS.append(os.getpid())
-    return _mc_one(task)
+    return _mc_chunk(task)
 
 
 def test_monte_carlo_replicate_error_not_rerun_serially(monkeypatch):
-    # n * s_star = 1.5 < 2: every replicate raises inside its worker
+    # n * s_star = 1.5 < 2: every chunk raises inside its worker
     cfg = ScaleConfig(0.061, 0.167, 0.003)
     det = DetectorSpec(cfg=cfg, alpha=0.05, threshold_mode="fixed:4.0")
-    monkeypatch.setattr(simulate, "_mc_one", _recording_mc_one)
+    monkeypatch.setattr(simulate, "_mc_chunk", _recording_mc_chunk)
     _CALLER_PIDS.clear()
     with pytest.raises(ValueError, match="n \\* s_star"):
         monte_carlo(PlsScenario.make("I", "GS", n=500), det, R=50, threads=2)
@@ -270,7 +292,7 @@ def test_monte_carlo_replicate_error_not_rerun_serially(monkeypatch):
 
 
 class _SerialPool:
-    """Stand-in for ProcessPoolExecutor: records the pool asked for, starts no process."""
+    """Stand-in for ProcessPoolExecutor: records the pool and tasks asked for, starts no process."""
 
     asked = []
 
@@ -283,8 +305,9 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize):
-        self.asked.append(chunksize)
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.asked.append([len(task[3]) for task in tasks])
         return map(fn, tasks)
 
 
@@ -296,16 +319,18 @@ def test_monte_carlo_pool_capped_at_replicates(monkeypatch):
     det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05, threshold_mode="fixed:4.0")
     sc = PlsScenario.make("I", "GS", n=500)
     m = monte_carlo(sc, det, R=50, seed=1, threads=500)
-    assert _SerialPool.asked == [50, 1]  # max_workers, chunksize
+    # max_workers, then the replicates per chunk: one chunk per worker
+    assert _SerialPool.asked == [50, [1] * 50]
     assert m["counts"] == monte_carlo(sc, det, R=50, seed=1)["counts"]
 
 
 def test_replicate_at_a_fixed_level_is_detect_pipeline():
     sc = PlsScenario.make("II", "PLS", n=500)
     det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05, z=0.05)
-    for r in range(3):
-        count, hit, mad_raw, mad_ref, _, _ = _mc_one((sc, det, 6, r))
-        y, truth = simulate._generate(sc, rng_for(6, r))
+    # two chunks: replicates 1 | 2 sit on both sides of the boundary
+    rows = _mc_chunk((sc, det, 6, range(0, 2))) + _mc_chunk((sc, det, 6, range(2, 4)))
+    for r, (count, hit, mad_raw, mad_ref, _, _) in enumerate(rows):
+        (y,), truth = simulate._generate(sc, [rng_for(6, r)])
         res = detect_pipeline(y, det.cfg, det.filter(), alpha=0.05, z=0.05)
         assert hit and count == res.count == len(truth)
         assert mad_raw == _mad([j.location for j in res.jumps_raw], truth)
@@ -317,8 +342,10 @@ def test_monte_carlo_automatic_scales():
     sc = PlsScenario.make("I", "GS", n=200)
     m = monte_carlo(sc, DetectorSpec(cfg=None), R=50, seed=2)
     assert len(m["counts"]) == 50
+    for threads in (2, 3):
+        _assert_same_replicates(m, monte_carlo(sc, DetectorSpec(cfg=None), R=50, seed=2, threads=threads))
     for r in range(3):
-        y, _ = simulate._generate(sc, rng_for(2, r))
+        (y,), _ = simulate._generate(sc, [rng_for(2, r)])
         res, _ = auto_detect(y, builtin_wstar(), cfg=None)
         assert m["counts"][r] == res.count
 
@@ -327,3 +354,10 @@ def test_monte_carlo_requires_enough_reps():
     cfg = ScaleConfig(0.061, 0.167, 0.03)
     with pytest.raises(ValueError):
         monte_carlo(PlsScenario.make("I", "GS", n=500), DetectorSpec(cfg=cfg), R=10)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_monte_carlo_requires_a_worker(threads):
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    with pytest.raises(ValueError, match="threads"):
+        monte_carlo(PlsScenario.make("I", "GS", n=500), DetectorSpec(cfg=cfg), R=50, threads=threads)
