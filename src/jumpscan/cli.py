@@ -261,7 +261,7 @@ def cmd_montecarlo(args) -> int:
     threads = _threads(args)
     filt = _filter_from(args)
     alpha = _alpha(args.alpha)
-    sc = _parse_scenario(args.scenario, args.n, 0)
+    sc = _parse_scenario(args.scenario, args.n, args.seed)
     if args.s_lower is None or args.s_upper is None:
         row = min(LADDER, key=lambda r: abs(r[0] - args.n))
         sl, su = row[1], row[2]
@@ -270,7 +270,7 @@ def cmd_montecarlo(args) -> int:
     try:
         s_star = args.s_star
         if s_star is None:
-            probe, _ = gen_series(PlsScenario.make(sc.mean_model, sc.noise_model, n=args.n, seed=args.seed, d=sc.d))
+            probe, _ = gen_series(sc)
             s_star = select_s_star(probe, sl, su, filt).chosen
         cfg = ScaleConfig(sl, su, s_star, args.grid_eps)
         det = DetectorSpec(cfg=cfg, alpha=alpha, threshold_mode=args.threshold, filt=filt)

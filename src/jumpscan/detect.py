@@ -15,6 +15,8 @@ from .threshold import bootstrap_cv, critical_value, fs_correction, tail_constan
 __all__ = ["RawJump", "DetectionResult", "mjpd_detect", "cusum_refine", "detect_pipeline"]
 
 MIN_REFINE_OBS = 8
+# the refinement window reaches (2 + ALPHA_TILDE) z either side of a jump
+ALPHA_TILDE = 1.5
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def mjpd_detect(field_: MultiscaleField, threshold: float) -> list:
     return sorted(out, key=lambda r: r.location)
 
 
-def cusum_refine(y, raw: list, z: float, alpha_tilde: float = 1.5) -> list:
+def cusum_refine(y, raw: list, z: float, alpha_tilde: float = ALPHA_TILDE) -> list:
     """Second-stage refinement around each first-stage estimate.
 
     For each jump at d, builds the local CUSUM contrast on the window
@@ -170,8 +172,6 @@ def detect_pipeline(
     filt,
     alpha: float = 0.05,
     threshold_mode: str = "analytic",
-    z: float | None = None,
-    alpha_tilde: float = 1.5,
     seed: int = 0,
     threads: int = 1,
     field_: MultiscaleField | None = None,
@@ -180,36 +180,39 @@ def detect_pipeline(
 
     ``threshold_mode`` is one of ``analytic``, ``bootstrap[:B]`` (B null
     replicates, default 2000) or ``fixed:C``; anything else raises
-    ``ValueError``.  ``z`` defaults to ``cfg.s_lower`` (refinement
-    half-window rule of thumb).  Analytic and bootstrap thresholds are
-    multiplied by the finite-sample denominator factor.
-    A precomputed ``field_`` for the same (y, cfg, filt) is reused as is.
+    ``ValueError``.  Analytic and bootstrap thresholds are multiplied by
+    the finite-sample denominator factor.  Refinement uses the half-window
+    z = ``cfg.s_lower`` (rule of thumb) and ``ALPHA_TILDE``.
+    A precomputed ``field_`` of ``y`` under ``cfg`` and ``filt`` is reused as
+    is; one built for another config or series length raises ``ValueError``.
     ``threads`` parallelizes the bootstrap null replicates and does not
     change the result.
     """
     y = np.asarray(y, dtype=float)
+    n = len(y)
     if field_ is None:
         field_ = multiscale_field(y, cfg, filt)
-    c, k, kind = _resolve_threshold(
-        threshold_mode, alpha, field_.cfg, filt, field_.n, seed, threads
-    )
+    elif field_.cfg != cfg or field_.n != n:
+        raise ValueError(
+            f"field_ was built for {field_.cfg} at n={field_.n}, not for {cfg} at n={n}"
+        )
+    c, k, kind = _resolve_threshold(threshold_mode, alpha, cfg, filt, n, seed, threads)
     raw = mjpd_detect(field_, c)
-    zz = cfg.s_lower if z is None else z
-    refined = cusum_refine(y, raw, z=zz, alpha_tilde=alpha_tilde)
+    refined = cusum_refine(y, raw, z=cfg.s_lower)
     return DetectionResult(
         jumps_raw=raw,
         jumps_refined=refined,
         threshold=float(c),
         alpha=None if kind == "fixed" else float(alpha),
         config={
-            "n": len(y),
+            "n": n,
             "s_lower": cfg.s_lower,
             "s_upper": cfg.s_upper,
             "s_star": cfg.s_star,
             "grid_eps": cfg.grid_eps,
             "threshold_mode": threshold_mode,
             "fs_factor": k,
-            "z": zz,
-            "alpha_tilde": alpha_tilde,
+            "z": cfg.s_lower,
+            "alpha_tilde": ALPHA_TILDE,
         },
     )

@@ -159,14 +159,7 @@ class JumpPassFilter(_ExactMoments):
         return len(self.coeffs)
 
     def eval(self, x: float) -> float:
-        if x < 0:
-            return -self.eval(-x)
-        if x > 1.0:
-            return 0.0
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = (acc + c) * x
-        return acc
+        return float(self.eval_many(x))
 
     def eval_many(self, x) -> np.ndarray:
         """Vectorized evaluation; odd extension and zero outside support."""
@@ -219,6 +212,9 @@ def moments(filt) -> FilterMoments:
 # order verification
 # ---------------------------------------------------------------------------
 
+_ORDER_GRID_POINTS = 10_000
+
+
 @dataclass
 class OrderCheck:
     name: str
@@ -252,12 +248,12 @@ class OrderReport:
         return "\n".join(lines)
 
 
-def verify_order(filt, k: int, grid_points: int = 10_000) -> OrderReport:
+def verify_order(filt, k: int) -> OrderReport:
     """Check class membership of ``filt`` at order ``k``.
 
     Covers: vanishing moments u = 0..k, unit half-integral, endpoint
     derivative, smooth odd extension, and the shape conditions (|F_w|
-    maximized at 0 on a dense grid; W'(0) != 0).
+    maximized at 0 on a grid of ``_ORDER_GRID_POINTS`` points; W'(0) != 0).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -273,7 +269,7 @@ def verify_order(filt, k: int, grid_points: int = 10_000) -> OrderReport:
     rep.add("W(0)", filt.eval(0.0), 1e-12)
     # (W2): F_w(x) = int_{-1}^x W = P(|x|) - P(1) is even; |F_w| must peak
     # only at x = 0, and W'(0) must not vanish.
-    xs = np.linspace(0.0, 1.0, grid_points)
+    xs = np.linspace(0.0, 1.0, _ORDER_GRID_POINTS)
     fw = np.abs(filt.antideriv01(xs) - filt.antideriv01(np.array(1.0)))
     peak_at_zero = bool(np.argmax(fw) == 0) and bool(fw[0] > np.max(fw[1:]))
     rep.add_bool("|F_w| maximized at 0 (grid)", peak_at_zero, float(fw[0]))

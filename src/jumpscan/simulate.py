@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _MA_TRUNC = 40  # |coef| <= 0.4 => truncation error below 1e-15
+# pre-sample innovations each recursion runs through before t = 1/n
+_BURN_IN = 500
 # series values, burn-in included, that one chunk of Monte-Carlo replicates generates at most
 _CHUNK_VALUES = 1 << 17
 
@@ -328,12 +330,11 @@ class PlsScenario:
     noise_model: str
     n: int
     seed: int = 0
-    burn_in: int = 500
     d: float = 0.0
     noise_scale: float = 1.0
 
     @classmethod
-    def make(cls, mean_model, noise_model=None, n=500, seed=0, d=0.0, burn_in=500):
+    def make(cls, mean_model, noise_model=None, n=500, seed=0, d=0.0):
         """Scenario with the conventional noise pairing and scaling applied."""
         if mean_model not in MEAN_MODELS:
             raise ValueError(f"unknown mean model {mean_model!r}")
@@ -344,8 +345,7 @@ class PlsScenario:
         if noise not in NOISE_MODELS:
             raise ValueError(f"unknown noise model {noise!r}")
         return cls(
-            mean_model=mean_model, noise_model=noise, n=n, seed=seed,
-            burn_in=burn_in, d=d, noise_scale=scale,
+            mean_model=mean_model, noise_model=noise, n=n, seed=seed, d=d, noise_scale=scale
         )
 
 
@@ -365,7 +365,7 @@ def _generate(sc: PlsScenario, rngs):
         raise ValueError(f"unknown noise model {sc.noise_model!r}")
     t = (np.arange(sc.n) + 1.0) / sc.n
     beta, truth = MEAN_MODELS[sc.mean_model](t, sc)
-    eps = NOISE_MODELS[sc.noise_model](sc.n, sc.burn_in, rngs)
+    eps = NOISE_MODELS[sc.noise_model](sc.n, _BURN_IN, rngs)
     return beta + sc.noise_scale * eps, truth
 
 
@@ -386,7 +386,6 @@ class DetectorSpec:
     cfg: ScaleConfig | None  # None: automatic scales per replicate
     alpha: object = "auto"  # float or "auto"
     threshold_mode: str = "analytic"
-    z: float | None = None
     filt: object = None  # defaults to the built-in optimal filter
 
     def filter(self):
@@ -435,12 +434,12 @@ def _mc_chunk(task):
     t0 = time.perf_counter()
     if det.cfg is None:
         results = [
-            auto_detect(y, filt, alpha=alpha, threshold_mode=det.threshold_mode, z=det.z)[0]
+            auto_detect(y, filt, alpha=alpha, threshold_mode=det.threshold_mode)[0]
             for y in ymat
         ]
     else:
         results = [
-            _detect_on_field(y, f, filt, alpha, {}, threshold_mode=det.threshold_mode, z=det.z)
+            _detect_on_field(y, f, filt, alpha, {}, threshold_mode=det.threshold_mode)
             for y, f in zip(ymat, _multiscale_fields(ymat, det.cfg, filt))
         ]
     dt = (time.perf_counter() - t0) / len(reps)
@@ -507,7 +506,7 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
         _resolve_threshold(det.threshold_mode, 0.10, det.cfg, det.filter(), sc.n, 0, 1)
 
     workers = min(threads, R)
-    tasks = [(sc, det, seed, reps) for reps in _chunks(R, workers, sc.burn_in + sc.n)]
+    tasks = [(sc, det, seed, reps) for reps in _chunks(R, workers, _BURN_IN + sc.n)]
     chunks = _pool_chunks(tasks, workers) if workers > 1 else None
     if chunks is None:
         chunks = [_mc_chunk(t) for t in tasks]

@@ -43,6 +43,13 @@ _CANDIDATE_BAR_LEVEL = 0.02
 # ... unless their peak scale is this close to the top of the grid
 _TOP_SCALE_FRACTION = 0.85
 
+# select_s_star: candidate denominator scales, and neighbors scored on each side
+_S_STAR_CANDIDATES = 10
+_S_STAR_RADIUS = 2
+# select_scales: candidates per grid, and neighbors scored on each side in both grids
+_SCALE_GRID_POINTS = 7
+_SCALE_RADIUS = 2
+
 # values ranked per block by the sliding median (8 MB of float64)
 _MEDIAN_BLOCK = 1 << 20
 
@@ -87,7 +94,6 @@ class MvReport:
     candidates: list
     scores: list
     chosen_index: int
-    note: str = ""
 
     @property
     def chosen(self):
@@ -99,28 +105,21 @@ def min_s_star(n: int) -> float:
     return (1.0 / 6.0) * n ** -0.5 * math.log(n) ** 0.5
 
 
-def select_s_star(
-    y,
-    s_lower: float,
-    s_upper: float,
-    filt,
-    k: int = 2,
-    m_candidates: int = 10,
-) -> MvReport:
+def select_s_star(y, s_lower: float, s_upper: float, filt) -> MvReport:
     """Pick the denominator scale by minimum volatility of sqrt(Xi).
 
-    Candidates run linearly from ``min_s_star(n)`` up to
-    ``s_lower``; each interior candidate is scored by the worst-case (over
-    time) sample variance of sqrt(Xi(t)) across its 2k+1 neighbors.
+    ``_S_STAR_CANDIDATES`` candidates run linearly from ``min_s_star(n)`` up
+    to ``s_lower``; each interior candidate is scored by the worst-case
+    (over time) sample variance of sqrt(Xi(t)) across its 2k+1 neighbors,
+    k = ``_S_STAR_RADIUS``.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if m_candidates < 2 * k + 3:
-        raise ValueError("m_candidates must be at least 2k + 3")
+    k = _S_STAR_RADIUS
     lo = min_s_star(n)
     if lo >= s_lower:
         raise ValueError("s_lower below the smallest admissible candidate")
-    cands = np.linspace(lo, s_lower, m_candidates)
+    cands = np.linspace(lo, s_lower, _S_STAR_CANDIDATES)
     keep = cands * n >= 2
     if not np.all(keep):
         warnings.warn("dropping candidate scales with n*s < 2")
@@ -141,22 +140,29 @@ def select_s_star(
         block = core[r - k : r + k + 1]
         scores.append(float(np.max(np.var(block, axis=0, ddof=1))))
     chosen = int(np.argmin(scores))
-    return MvReport(
-        candidates=[float(c) for c in cands],
-        scores=scores,
-        chosen_index=chosen,
-        note=f"minimum-volatility over {len(cands)} denominator scales, k={k}",
+    return MvReport(candidates=[float(c) for c in cands], scores=scores, chosen_index=chosen)
+
+
+def _scale_grids(n: int):
+    """The candidate s_lower and s_upper grids of :func:`select_scales` at length n."""
+    return (
+        np.linspace(n ** (-1 / 3) / 4, n ** (-1 / 3) / 2, _SCALE_GRID_POINTS),
+        np.linspace(n ** (-1 / 6) / 6, n ** (-1 / 6) / 3, _SCALE_GRID_POINTS),
     )
 
 
-def select_scales(y, filt, grid1=None, grid2=None, k3: int = 2) -> MvReport:
+def select_scales(y, filt) -> MvReport:
     """Pick (s_lower, s_upper) where the detected jump count is most stable.
 
-    Counts the raw peaks of every admissible candidate pair above its
-    analytic critical value at level 0.05; the score of an interior pair is
-    the sample variance of the counts over its (2 k3 + 1)^2 neighborhood,
-    restricted to admissible pairs.  Ties break toward the smallest
-    s_lower + s_upper.
+    The candidates are ``_SCALE_GRID_POINTS`` values of s_lower in
+    [n^(-1/3)/4, n^(-1/3)/2] against as many of s_upper in
+    [n^(-1/6)/6, n^(-1/6)/3].  Counts the raw peaks of every admissible
+    pair (s_lower < s_upper) above its analytic critical value at level
+    0.05; the score of an interior pair is the sample variance of the
+    counts over its (2 k3 + 1)^2 neighborhood, k3 = ``_SCALE_RADIUS``,
+    restricted to admissible pairs.  Below n = 729 some corner pairs are
+    inadmissible; every interior pair is admissible from n = ``MIN_N`` on.
+    Ties break toward the smallest s_lower + s_upper.
 
     The sweep reads no threshold mode and applies no finite-sample factor:
     counts shift almost uniformly across pairs, and simulating or
@@ -164,18 +170,8 @@ def select_scales(y, filt, grid1=None, grid2=None, k3: int = 2) -> MvReport:
     refinement runs.
     """
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    if grid1 is None:
-        grid1 = np.linspace(n ** (-1 / 3) / 4, n ** (-1 / 3) / 2, 7)
-    if grid2 is None:
-        grid2 = np.linspace(n ** (-1 / 6) / 6, n ** (-1 / 6) / 3, 7)
-    grid1 = np.asarray(grid1, dtype=float)
-    grid2 = np.asarray(grid2, dtype=float)
-    if np.any(np.diff(grid1) <= 0) or np.any(np.diff(grid2) <= 0):
-        raise ValueError("candidate grids must be strictly increasing")
-    k1, k2 = len(grid1), len(grid2)
-    if k1 < 2 * k3 + 1 or k2 < 2 * k3 + 1:
-        raise ValueError("k3 exceeds the grid radius")
+    grid1, grid2 = _scale_grids(len(y))
+    k1, k2, k3 = len(grid1), len(grid2), _SCALE_RADIUS
 
     sstar_cache = {}
 
@@ -187,37 +183,22 @@ def select_scales(y, filt, grid1=None, grid2=None, k3: int = 2) -> MvReport:
     counts = np.full((k1, k2), -1, dtype=int)
     for i, sl in enumerate(grid1):
         for j, su in enumerate(grid2):
-            if sl >= su or su >= 0.5:
+            if sl >= su:
                 continue
             cfg = ScaleConfig(s_lower=float(sl), s_upper=float(su), s_star=s_star_for(float(sl)))
             c = critical_value(_SWEEP_LEVEL, tail_constants(filt, cfg.s_lower, cfg.s_upper))
             counts[i, j] = len(mjpd_detect(multiscale_field(y, cfg, filt), c))
-    if np.all(counts < 0):
-        raise ValueError("no admissible (s_lower, s_upper) pair in the grids")
 
     pairs, scores = [], []
     for i in range(k3, k1 - k3):
         for j in range(k3, k2 - k3):
-            if counts[i, j] < 0:
-                continue
             nb = counts[i - k3 : i + k3 + 1, j - k3 : j + k3 + 1]
-            nb = nb[nb >= 0]
-            if len(nb) < 2:
-                continue
             pairs.append((float(grid1[i]), float(grid2[j])))
-            scores.append(float(np.var(nb, ddof=1)))
-    if not pairs:
-        raise ValueError("no admissible interior pair")
+            scores.append(float(np.var(nb[nb >= 0], ddof=1)))
     order = sorted(
         range(len(pairs)), key=lambda r: (scores[r], pairs[r][0] + pairs[r][1])
     )
-    chosen = order[0]
-    return MvReport(
-        candidates=pairs,
-        scores=scores,
-        chosen_index=chosen,
-        note=f"count-stability over {len(pairs)} interior scale pairs, k3={k3}",
-    )
+    return MvReport(candidates=pairs, scores=scores, chosen_index=order[0])
 
 
 def select_alpha(
@@ -305,8 +286,6 @@ def auto_detect(
     threads: int = 1,
     threshold_mode: str = "analytic",
     seed: int = 0,
-    z: float | None = None,
-    alpha_tilde: float = 1.5,
 ):
     """Detection with data-driven tuning; returns (result, info).
 
@@ -337,15 +316,13 @@ def auto_detect(
     field_ = multiscale_field(y, cfg, filt)
     info["field"] = field_
     res = _detect_on_field(
-        y, field_, filt, alpha, info, threshold_mode=threshold_mode, seed=seed, z=z,
-        alpha_tilde=alpha_tilde, threads=threads,
+        y, field_, filt, alpha, info, threshold_mode=threshold_mode, seed=seed, threads=threads
     )
     return res, info
 
 
 def _detect_on_field(
-    y, field_, filt, alpha, info, *, threshold_mode="analytic", seed=0, z=None,
-    alpha_tilde=1.5, threads=1,
+    y, field_, filt, alpha, info, *, threshold_mode="analytic", seed=0, threads=1
 ):
     """What :func:`auto_detect` does once the field of ``y`` is built.
 
@@ -360,8 +337,8 @@ def _detect_on_field(
 
     def level_pass(level):
         return detect_pipeline(
-            y, cfg, filt, alpha=level, threshold_mode=threshold_mode, z=z,
-            alpha_tilde=alpha_tilde, seed=seed, threads=threads, field_=field_,
+            y, cfg, filt, alpha=level, threshold_mode=threshold_mode, seed=seed,
+            threads=threads, field_=field_,
         )
 
     if alpha != "auto":

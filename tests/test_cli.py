@@ -6,6 +6,7 @@ import pytest
 import jumpscan.cli
 import jumpscan.detect
 import jumpscan.field
+import jumpscan.simulate
 import jumpscan.tuning
 from jumpscan.cli import main
 
@@ -290,6 +291,25 @@ def test_montecarlo_smoke(tmp_path, capsys):
     row = dict(zip(header, table[1].split(",")))
     assert float(row["hit_rate"]) >= 0.9
     assert float(row["mean_gen_runtime"]) > 0
+
+
+def test_montecarlo_probes_the_series_of_its_seed(tmp_path, capsys):
+    # without --s-star the denominator scale is selected on the series of --seed
+    argv = ["montecarlo", "--scenario", "II:PLS", "--n", "500", "--reps", "50", "--seed", "5",
+            "--alpha", "auto", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    header, line = (tmp_path / "mc_II_PLS_n500.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    filt = jumpscan.cli.builtin_wstar()
+    sc = jumpscan.simulate.PlsScenario.make("II", "PLS", n=500, seed=5)
+    probe, _ = jumpscan.simulate.gen_series(sc)
+    s_star = jumpscan.tuning.select_s_star(probe, 0.061, 0.167, filt).chosen
+    det = jumpscan.simulate.DetectorSpec(
+        cfg=jumpscan.field.ScaleConfig(0.061, 0.167, s_star), alpha="auto", filt=filt
+    )
+    want = jumpscan.simulate.monte_carlo(sc, det, R=50, seed=5)
+    for key in set(row) - {"mean_runtime", "mean_gen_runtime"}:
+        assert row[key] == f"{want[key]:.6g}", key
 
 
 def test_tune_reports_sweeps_and_auto_detection(step_csv, capsys):

@@ -225,6 +225,15 @@ def test_pipeline_reuses_prebuilt_field():
     assert [j.location for j in r1.jumps_raw] == [j.location for j in r2.jumps_raw]
 
 
+def test_pipeline_rejects_a_field_of_another_config_or_length():
+    y = step_series(seed=10)
+    other = ScaleConfig(s_lower=0.045, s_upper=0.12, s_star=0.03)
+    with pytest.raises(ValueError, match="field_ was built for"):
+        detect_pipeline(y, CFG, W, field_=multiscale_field(y, other, W))
+    with pytest.raises(ValueError, match="field_ was built for"):
+        detect_pipeline(y[:400], CFG, W, field_=multiscale_field(y, CFG, W))
+
+
 def test_pipeline_runs_with_beta_filter():
     beta, _ = construct_beta_filter(2, 50)
     n = 500

@@ -54,11 +54,24 @@ def test_eval_oddness_bitwise(x):
     assert w.eval(-x) == -w.eval(x)
 
 
+def _horner(w, x):
+    """Scalar oracle: Horner's rule on [0, 1], odd extension, zero outside."""
+    if x < 0:
+        return -_horner(w, -x)
+    if x > 1.0:
+        return 0.0
+    acc = 0.0
+    for c in reversed(w.coeffs):
+        acc = (acc + c) * x
+    return acc
+
+
 def test_eval_many_matches_scalar():
-    w = builtin_wstar()
-    xs = np.linspace(-1.5, 1.5, 41)
-    vec = w.eval_many(xs)
-    assert vec == pytest.approx([w.eval(float(x)) for x in xs], abs=1e-12)
+    xs = np.concatenate([np.linspace(-1.2, 1.2, 20_001), [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]])
+    for w in (builtin_wstar(), construct_legendre_filter(4, 12)):
+        want = [_horner(w, float(x)) for x in xs]
+        assert w.eval_many(xs).tolist() == want
+        assert [w.eval(float(x)) for x in xs] == want
 
 
 # ---------------------------------------------------------------------------

@@ -326,12 +326,12 @@ def test_monte_carlo_pool_capped_at_replicates(monkeypatch):
 
 def test_replicate_at_a_fixed_level_is_detect_pipeline():
     sc = PlsScenario.make("II", "PLS", n=500)
-    det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05, z=0.05)
+    det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05)
     # two chunks: replicates 1 | 2 sit on both sides of the boundary
     rows = _mc_chunk((sc, det, 6, range(0, 2))) + _mc_chunk((sc, det, 6, range(2, 4)))
     for r, (count, hit, mad_raw, mad_ref, _, _) in enumerate(rows):
         (y,), truth = simulate._generate(sc, [rng_for(6, r)])
-        res = detect_pipeline(y, det.cfg, det.filter(), alpha=0.05, z=0.05)
+        res = detect_pipeline(y, det.cfg, det.filter(), alpha=0.05)
         assert hit and count == res.count == len(truth)
         assert mad_raw == _mad([j.location for j in res.jumps_raw], truth)
         assert mad_ref == _mad(res.jumps_refined, truth)

@@ -3,7 +3,7 @@ import pytest
 
 from jumpscan import detect, tuning
 from jumpscan.detect import detect_pipeline
-from jumpscan.field import ScaleConfig, multiscale_field
+from jumpscan.field import MIN_N, ScaleConfig, multiscale_field
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import critical_value, tail_constants
 from jumpscan.tuning import (
@@ -48,8 +48,6 @@ def test_select_s_star_scale_invariant():
 
 def test_select_s_star_preconditions():
     y = np.random.default_rng(0).standard_normal(500)
-    with pytest.raises(ValueError, match="m_candidates"):
-        select_s_star(y, 0.061, 0.167, W, k=2, m_candidates=5)
     # at s_upper = 1/2 the valid core is empty
     with pytest.raises(ValueError, match="s_upper < 1/2"):
         select_s_star(y, 0.2, 0.5, W)
@@ -66,37 +64,38 @@ def test_select_s_star_report_minimizes():
 # (s_lower, s_upper) selection
 # ---------------------------------------------------------------------------
 
+def _interior_pairs(n):
+    k = tuning._SCALE_RADIUS
+    g1, g2 = tuning._scale_grids(n)
+    return [(float(a), float(b)) for a in g1[k:-k] for b in g2[k:-k]]
+
+
 def test_select_scales_single_big_jump():
     y = step_series(1000, 4.0, seed=1)
-    rep = select_scales(y, W, k3=1,
-                        grid1=np.linspace(0.03, 0.05, 5),
-                        grid2=np.linspace(0.09, 0.14, 5))
-    sl, su = rep.chosen
-    assert 0.03 <= sl <= 0.05 and 0.09 <= su <= 0.14
+    rep = select_scales(y, W)
+    assert rep.candidates == _interior_pairs(1000)
+    assert rep.scores[rep.chosen_index] == min(rep.scores)
 
 
 def test_select_scales_tie_break_smallest_sum():
-    # huge jump: every admissible pair counts exactly one, so SE ties at 0
+    # at n = 800 all 49 pairs are admissible, and a jump of 12 noise
+    # standard deviations counts exactly one at each, so SE ties at 0
     y = step_series(800, 12.0, seed=2)
-    g1 = np.linspace(0.035, 0.055, 5)
-    g2 = np.linspace(0.10, 0.15, 5)
-    rep = select_scales(y, W, k3=1, grid1=g1, grid2=g2)
-    interior = [(a, b) for a in g1[1:-1] for b in g2[1:-1] if a < b]
-    assert rep.chosen == pytest.approx(min(interior, key=lambda p: p[0] + p[1]))
+    rep = select_scales(y, W)
+    assert rep.scores == [0.0] * 9
+    assert rep.chosen == min(_interior_pairs(800), key=lambda p: p[0] + p[1])
 
 
-def test_select_scales_k3_too_large():
-    y = step_series(500, 3.0, seed=3)
-    with pytest.raises(ValueError, match="radius"):
-        select_scales(y, W, k3=3, grid1=np.linspace(0.03, 0.06, 5),
-                      grid2=np.linspace(0.1, 0.15, 5))
-
-
-def test_select_scales_no_admissible_pair():
-    y = step_series(500, 3.0, seed=4)
-    with pytest.raises(ValueError, match="admissible"):
-        select_scales(y, W, k3=1, grid1=np.linspace(0.2, 0.3, 3),
-                      grid2=np.linspace(0.05, 0.1, 3))
+def test_default_scale_grids_have_only_admissible_interior_pairs():
+    # why select_scales needs no guard against an empty interior or a
+    # neighborhood of fewer than two counts: for every n, each interior pair
+    # has s_lower < s_upper < 1/2 (then so has the pair left of it)
+    k = tuning._SCALE_RADIUS
+    sizes = np.concatenate([np.arange(MIN_N, 5000), np.geomspace(5000, 10**7, 2000).round()])
+    for n in sizes.astype(int):
+        g1, g2 = tuning._scale_grids(int(n))
+        assert np.all(g2 < 0.5), n
+        assert np.all(g1[k:-k, None] < g2[None, k:-k]), n
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +304,8 @@ def test_auto_detect_rejects_bad_level_before_any_work(alpha, no_work):
 def test_auto_detect_fixed_level_is_detect_pipeline():
     cfg = ScaleConfig(0.061, 0.167, 0.03)
     y = step_series(500, 2.5, seed=29)
-    kw = dict(alpha=0.05, z=0.04, alpha_tilde=1.0)
-    res, info = auto_detect(y, W, cfg=cfg, **kw)
-    again = detect_pipeline(y, cfg, W, **kw)
+    res, info = auto_detect(y, W, cfg=cfg, alpha=0.05)
+    again = detect_pipeline(y, cfg, W, alpha=0.05)
     assert info["alpha"] == 0.05
     assert [j.location for j in res.jumps_raw] == [j.location for j in again.jumps_raw]
     assert res.jumps_refined == again.jumps_refined
