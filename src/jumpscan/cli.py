@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import detect_pipeline
 from .field import MIN_N, ScaleConfig
 from .filters import builtin_wstar, load_filter
 from .simulate import DetectorSpec, PlsScenario, gen_series, monte_carlo

@@ -184,7 +184,8 @@ def detect_pipeline(
     the finite-sample denominator factor.  Refinement uses the half-window
     z = ``cfg.s_lower`` (rule of thumb) and ``ALPHA_TILDE``.
     A precomputed ``field_`` of ``y`` under ``cfg`` and ``filt`` is reused as
-    is; one built for another config or series length raises ``ValueError``.
+    is; one built for another config, series length or filter raises
+    ``ValueError``.
     ``threads`` parallelizes the bootstrap null replicates and does not
     change the result.
     """
@@ -196,6 +197,8 @@ def detect_pipeline(
         raise ValueError(
             f"field_ was built for {field_.cfg} at n={field_.n}, not for {cfg} at n={n}"
         )
+    elif field_.filt != filt:
+        raise ValueError(f"field_ was built with {field_.filt}, not with {filt}")
     c, k, kind = _resolve_threshold(threshold_mode, alpha, cfg, filt, n, seed, threads)
     raw = mjpd_detect(field_, c)
     refined = cusum_refine(y, raw, z=cfg.s_lower)

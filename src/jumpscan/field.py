@@ -175,6 +175,7 @@ class MultiscaleField:
     ``xi`` is the operational denominator series: the banded average of
     squared fine-scale responses, stabilized by a band-width moving average
     across time (see ``_xi_smoothed``).  Every array has length n.
+    ``filt`` is the filter that built the field.
     """
 
     grid: np.ndarray           # scales, increasing
@@ -184,11 +185,15 @@ class MultiscaleField:
     g: np.ndarray              # (n,) hmax / sqrt(xi); NaN where invalid
     valid: np.ndarray          # (n,) bool; see ``_field_batch``
     cfg: ScaleConfig
-    u11: float
+    filt: object
 
     @property
     def n(self) -> int:
         return len(self.g)
+
+    @property
+    def u11(self) -> float:
+        return self.filt.moments().u11
 
     def times(self) -> np.ndarray:
         n = self.n
@@ -220,10 +225,9 @@ def _multiscale_fields(ymat: np.ndarray, cfg: ScaleConfig, filt) -> list:
         np.copyto(arg, u, where=h > hmax)
         np.maximum(hmax, h, out=hmax)
     g = _self_normalized(hmax, xi, valid, np.nan)
-    u11 = filt.moments().u11
     return [
         MultiscaleField(grid=grid, hmax=hmax[i], arg=arg[i], xi=xi[i], g=g[i],
-                        valid=valid[i], cfg=cfg, u11=u11)
+                        valid=valid[i], cfg=cfg, filt=filt)
         for i in range(m)
     ]
 

@@ -11,9 +11,13 @@ Generation is batched: one call makes an (m, n) matrix of series, one row
 per generator.  The mean, the time-varying coefficients and their lag
 products depend on t only and are computed once for all rows; only the
 innovations are drawn per row, so each row is bitwise the series its
-generator gives alone, and ``gen_series`` is the one-row case.  The
-Monte-Carlo harness runs replicates in chunks, each one generator call and,
-with fixed scales, one batch of multiscale fields.
+generator gives alone, and ``gen_series`` is the one-row case.  A
+recursion evaluates only the series values it keeps: the burn-in
+innovations feed the expansion but their columns are never computed, and a
+noise with two regimes asks each regime's path for the columns on its own
+side of the break only.  The Monte-Carlo harness runs replicates in chunks,
+each one generator call and, with fixed scales, one batch of multiscale
+fields.
 """
 
 from __future__ import annotations
@@ -69,21 +73,27 @@ def _innovations(kind: str, size: int, rng) -> np.ndarray:
 # recursions
 # ---------------------------------------------------------------------------
 
-def _lag_sum(v: np.ndarray, count: int, coef) -> np.ndarray:
-    """v + c_1 * v_1 + ... + c_count * v_count, added in place one after another.
+def _lag_sum(v: np.ndarray, count: int, coef, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Columns [lo, hi) of v + c_1 * v_1 + ... + c_count * v_count, added in place in lag order.
 
     ``v`` is an (m, total) matrix and v_j is v shifted right by j columns
     (zero before column j).  ``coef(j)`` returns c_j along the t axis,
-    shared by every row; it is called for j = 1, 2, ... in turn.  Each
-    term is rounded once and added in lag order, as a running ``acc += c_j
-    * v_j`` does, so a row's sum does not depend on the other rows.
+    shared by every row; it is called for every j = 1, 2, ... in turn, so a
+    coefficient may update its own state.  Only the kept columns are
+    evaluated: lag j adds into columns [max(j, lo), hi).  Each term is
+    rounded once and added in lag order, as a running ``acc += c_j * v_j``
+    does, so a kept value is bitwise the same whatever the range, and a
+    row's sum does not depend on the other rows.
     """
-    total = v.shape[1]
-    acc = v.copy()
-    term = np.empty_like(v)
+    hi = v.shape[1] if hi is None else hi
+    acc = v[:, lo:hi].copy()
+    term = np.empty_like(acc)
     for j in range(1, count + 1):
-        np.multiply(coef(j)[j:], v[:, : total - j], out=term[:, j:])
-        acc[:, j:] += term[:, j:]
+        c = coef(j)
+        a = max(j, lo)
+        if a < hi:
+            np.multiply(c[a:hi], v[:, a - j : hi - j], out=term[:, a - lo :])
+            acc[:, a - lo :] += term[:, a - lo :]
     return acc
 
 
@@ -92,19 +102,23 @@ def _draws(kind: str, size: int, rngs) -> np.ndarray:
     return np.stack([_innovations(kind, size, rng) for rng in rngs])
 
 
-def _tv_arma(n, burn_in, phi, theta, kind, rngs):
+def _tv_arma(n, burn_in, phi, theta, kind, rngs, lo=0, hi=None):
     """Time-varying ARMA(1,1): x_i = phi(t_i) x_{i-1} + e_i + theta(t_i) e_{i-1}.
 
     One path per generator in ``rngs``, returned as the rows of an (m, n)
-    matrix.  Evaluated through the unrolled product expansion so the whole
-    batch is vectorized; ``burn_in`` pre-sample innovations serve the
-    expansion, with t clamped at the first in-sample point.  With u_i = e_i
-    + theta(t_i) e_{i-1}, x_i = u_i + sum_j amp_j(i) u_{i-j}, where amp_j(i)
-    = phi(t_i) ... phi(t_{i-j+1}) depends on t only: it is updated in place
-    lag by lag and shared by every row, and the lag terms are added in lag
-    order (``_lag_sum``).
+    matrix, or of its columns [lo, hi) only.  Evaluated through the
+    unrolled product expansion so the whole batch is vectorized;
+    ``burn_in`` pre-sample innovations serve the expansion, with t clamped
+    at the first in-sample point.  With u_i = e_i + theta(t_i) e_{i-1},
+    x_i = u_i + sum_j amp_j(i) u_{i-j}, where amp_j(i) = phi(t_i) ...
+    phi(t_{i-j+1}) depends on t only: it is updated in place lag by lag and
+    shared by every row, and the lag terms are added in lag order
+    (``_lag_sum``).  The lag sum is evaluated on the kept columns only,
+    never on the burn-in; the innovations, phi and the lag count are those
+    of the whole path, so a kept value does not depend on the range.
     """
     total = burn_in + n
+    lo, hi = burn_in + lo, burn_in + (n if hi is None else hi)
     t = np.maximum(np.arange(-burn_in, n) + 1, 1) / n
     eta = _draws(kind, total + 1, rngs)
     th = theta(t) if callable(theta) else np.full(total, float(theta))
@@ -114,7 +128,7 @@ def _tv_arma(n, burn_in, phi, theta, kind, rngs):
     if pmax >= 0.999:
         raise ValueError("AR coefficient too close to 1")
     if pmax == 0:
-        return u[:, burn_in:]
+        return u[:, lo:hi]
     lag = min(total, int(math.ceil(math.log(1e-15) / math.log(max(pmax, 1e-6)))))
     amp = np.ones(total)
 
@@ -122,11 +136,15 @@ def _tv_arma(n, burn_in, phi, theta, kind, rngs):
         amp[j - 1 :] *= ph[: total - j + 1]
         return amp
 
-    return _lag_sum(u, lag, coef)[:, burn_in:]
+    return _lag_sum(u, lag, coef, lo, hi)
 
 
 def _tv_ma(n, burn_in, base, amp, kind, rngs, trunc=_MA_TRUNC):
-    """Explicit MA expansion x_i = amp(t_i) * sum_j base(t_i)^j eta_{i-j}, one row per generator."""
+    """Explicit MA expansion x_i = amp(t_i) * sum_j base(t_i)^j eta_{i-j}, one row per generator.
+
+    As in ``_tv_arma``, the burn-in serves the expansion only and its
+    columns are never evaluated.
+    """
     total = burn_in + n
     t = np.maximum(np.arange(-burn_in, n) + 1, 1) / n
     eta = _draws(kind, total, rngs)
@@ -136,7 +154,7 @@ def _tv_ma(n, burn_in, base, amp, kind, rngs, trunc=_MA_TRUNC):
     def coef(j):
         return np.multiply(bp, b, out=bp)
 
-    return (amp(t) * _lag_sum(eta, trunc, coef))[:, burn_in:]
+    return amp(t[burn_in:]) * _lag_sum(eta, trunc, coef, burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +186,24 @@ def _plsn_g(n: int):
     return lambda t: _steps(t, kf + 1, kf)
 
 
+def _regime_split(n: int, cut: float) -> int:
+    """Number of in-sample points t_i = (i + 1) / n with t_i <= cut.
+
+    A two-regime noise keeps the first path on these columns and the second
+    on the rest, and asks each path for its own columns only.
+    """
+    return int(np.count_nonzero((np.arange(n) + 1) / n <= cut))
+
+
 def _noise_gs(n, burn_in, rngs):
     return _draws("normal", n, rngs)
 
 
 def _noise_ps(n, burn_in, rngs):
-    g0 = _tv_arma(n, burn_in, 0.25, 0.0, "chisq3", rngs)
-    g1 = _tv_arma(n, burn_in, -0.25, 0.0, "chisq3", rngs)
-    t = (np.arange(n) + 1) / n
-    return np.where(t <= 0.5, 0.75 * g0, 1.25 * g1)
+    k = _regime_split(n, 0.5)
+    g0 = _tv_arma(n, burn_in, 0.25, 0.0, "chisq3", rngs, hi=k)
+    g1 = _tv_arma(n, burn_in, -0.25, 0.0, "chisq3", rngs, lo=k)
+    return np.hstack([0.75 * g0, 1.25 * g1])
 
 
 def _noise_arma(n, burn_in, rngs):
@@ -191,13 +218,13 @@ def _noise_ls(n, burn_in, rngs):
 
 
 def _noise_pls(n, burn_in, rngs):
-    g0 = _tv_arma(n, burn_in, lambda t: 0.5 - t, lambda t: 0.2 - 0.5 * t, "t6", rngs)
+    k = _regime_split(n, 0.4)
+    g0 = _tv_arma(n, burn_in, lambda t: 0.5 - t, lambda t: 0.2 - 0.5 * t, "t6", rngs, hi=k)
     g1 = _tv_arma(
         n, burn_in, lambda t: 0.5 * np.sin(2 * np.pi * t), lambda t: 0.5 * (t - 0.2) ** 2,
-        "t6", rngs,
+        "t6", rngs, lo=k,
     )
-    t = (np.arange(n) + 1) / n
-    return np.where(t <= 0.4, g0, g1)
+    return np.hstack([g0, g1])
 
 
 def _noise_psn(n, burn_in, rngs):
@@ -233,10 +260,10 @@ def _noise_plsn(n, burn_in, rngs):
 
 
 def _noise_smoothpls(n, burn_in, rngs):
-    g0 = _tv_arma(n, burn_in, lambda t: 0.5 * t - 0.2, 0.0, "t8", rngs)
-    g1 = _tv_arma(n, burn_in, lambda t: 0.6 * np.cos(2 * np.pi * t), 0.0, "t8", rngs)
-    t = (np.arange(n) + 1) / n
-    return np.where(t <= 0.6, g0, g1)
+    k = _regime_split(n, 0.6)
+    g0 = _tv_arma(n, burn_in, lambda t: 0.5 * t - 0.2, 0.0, "t8", rngs, hi=k)
+    g1 = _tv_arma(n, burn_in, lambda t: 0.6 * np.cos(2 * np.pi * t), 0.0, "t8", rngs, lo=k)
+    return np.hstack([g0, g1])
 
 
 NOISE_MODELS = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -53,13 +53,12 @@ _SCALE_RADIUS = 2
 # values ranked per block by the sliding median (8 MB of float64)
 _MEDIAN_BLOCK = 1 << 20
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
 
 def _norm_cdf(x) -> np.ndarray:
-    """Standard normal cdf, 0.5 erfc(-x / sqrt 2), elementwise."""
+    """Standard normal cdf, 0.5 erfc(-x / sqrt 2), elementwise (``math.erfc`` over a list)."""
     z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
-    return 0.5 * np.asarray(_erfc(z), dtype=float)
+    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size)
+    return 0.5 * erfc.reshape(z.shape)
 
 
 def _sliding_median(x: np.ndarray, w: int) -> np.ndarray:
@@ -234,7 +233,9 @@ def select_alpha(
     if not math.isfinite(xi_n):
         raise ValueError("non-finite detectability ratio")
     cvals = _cv_grid(tc) * correction
-    hit = _norm_cdf(cvals - xi_n) - _norm_cdf(-cvals - xi_n)
+    # both tails of hit in one call: P(Z < c - xi_n) - P(Z < -c - xi_n)
+    tails = _norm_cdf(np.concatenate([cvals - xi_n, -cvals - xi_n]))
+    hit = tails[: len(cvals)] - tails[len(cvals) :]
     miss = 1.0 - (1.0 - hit) ** m_guess
     delta = _Q_GRID + miss
     return float(_Q_GRID[int(np.argmin(delta))])

@@ -28,7 +28,7 @@ def synthetic_field(g_values, s_upper=0.1):
         g=g,
         valid=valid,
         cfg=cfg,
-        u11=1.0,
+        filt=W,
     )
 
 
@@ -232,6 +232,19 @@ def test_pipeline_rejects_a_field_of_another_config_or_length():
         detect_pipeline(y, CFG, W, field_=multiscale_field(y, other, W))
     with pytest.raises(ValueError, match="field_ was built for"):
         detect_pipeline(y[:400], CFG, W, field_=multiscale_field(y, CFG, W))
+
+
+def test_pipeline_rejects_a_field_of_another_filter():
+    from jumpscan.simulate import PlsScenario, gen_series
+
+    y, _ = gen_series(PlsScenario.make("II", "PLS", n=500, seed=7))
+    beta, _ = construct_beta_filter(2, 50)
+    assert detect_pipeline(y, CFG, beta, field_=multiscale_field(y, CFG, beta)).count == 2
+    # the built-in filter's field of this series has no peak above the beta threshold
+    with pytest.raises(ValueError, match="field_ was built with"):
+        detect_pipeline(y, CFG, beta, field_=multiscale_field(y, CFG, W))
+    # an equal filter built anew is the same filter
+    detect_pipeline(y, CFG, builtin_wstar(), field_=multiscale_field(y, CFG, W))
 
 
 def test_pipeline_runs_with_beta_filter():

@@ -19,6 +19,8 @@ from jumpscan.simulate import (
     monte_carlo,
     _chunks,
     _innovations,
+    _BURN_IN,
+    _lag_sum,
     _mad,
     _mc_chunk,
     _plsn_g,
@@ -68,8 +70,9 @@ def _tv_ma_loop(n, burn_in, base, amp, kind, rng, trunc=40):
     return (amp(t) * acc)[burn_in:]
 
 
-def _tv_arma_rows(n, burn_in, phi, theta, kind, rngs):
-    return np.stack([_tv_arma_loop(n, burn_in, phi, theta, kind, rng) for rng in rngs])
+def _tv_arma_rows(n, burn_in, phi, theta, kind, rngs, lo=0, hi=None):
+    # a column range applied to the full oracle path
+    return np.stack([_tv_arma_loop(n, burn_in, phi, theta, kind, rng)[lo:hi] for rng in rngs])
 
 
 def _tv_ma_rows(n, burn_in, base, amp, kind, rngs):
@@ -94,6 +97,62 @@ def test_noise_expansions_match_lag_loops_bitwise(name, monkeypatch):
             assert fast[m][key].shape == x.shape == (m, key[0])
             for k in range(m):
                 assert np.array_equal(fast[m][key][k], x[k]), (m, key, k)
+
+
+def _arma_coef(ph):
+    """``_tv_arma``'s coefficient: amp_j(i) = ph[i] ... ph[i-j+1], updated in place."""
+    amp = np.ones(len(ph))
+
+    def coef(j):
+        amp[j - 1 :] *= ph[: len(ph) - j + 1]
+        return amp
+
+    return coef
+
+
+def _ma_coef(b):
+    """``_tv_ma``'s coefficient: b^j, kept as a running product it updates in place."""
+    bp = np.ones(len(b))
+
+    def coef(j):
+        return np.multiply(bp, b, out=bp)
+
+    return coef
+
+
+def test_lag_sum_column_range_is_the_full_sum_sliced():
+    n = 300
+    total = _BURN_IN + n
+    t = np.maximum(np.arange(-_BURN_IN, n) + 1, 1) / n
+    v = np.random.default_rng(3).standard_normal((3, total))
+    cases = [
+        # |phi| up to 0.99: more lags (all of them) than the first kept column
+        (_arma_coef, 0.99 * np.cos(2 * np.pi * t), total),
+        (_ma_coef, 0.2 * np.cos(2 * np.pi * t) + 0.2, 40),
+    ]
+    ranges = [(_BURN_IN, total), (0, total), (0, 37), (_BURN_IN, _BURN_IN + 120),
+              (520, 700), (3, 4), (total, total)]
+    for make, c, count in cases:
+        full = _lag_sum(v, count, make(c))
+        for lo, hi in ranges:
+            assert np.array_equal(_lag_sum(v, count, make(c), lo, hi), full[:, lo:hi]), (lo, hi)
+
+
+def _near_unit_phi(t):
+    return 0.99 * np.cos(2 * np.pi * t)
+
+
+def test_generator_column_range_is_the_full_path_sliced():
+    n = 300
+    rngs = [rng_for(5, k) for k in range(3)]
+    full = _tv_arma(n, _BURN_IN, _near_unit_phi, 0.3, "t8", rngs)
+    for k in range(3):
+        oracle = _tv_arma_loop(n, _BURN_IN, _near_unit_phi, 0.3, "t8", rng_for(5, k))
+        assert np.array_equal(full[k], oracle)
+    for lo, hi in [(0, 120), (120, n), (7, 250), (0, n)]:
+        rngs = [rng_for(5, k) for k in range(3)]
+        part = _tv_arma(n, _BURN_IN, _near_unit_phi, 0.3, "t8", rngs, lo=lo, hi=hi)
+        assert np.array_equal(part, full[:, lo:hi]), (lo, hi)
 
 
 def test_zero_ar_coefficient_is_the_ma_part():
