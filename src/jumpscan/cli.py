@@ -206,11 +206,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    threads = _threads(args)
     filt = _filter_from(args)
     y = _read_series(args.input)
     try:
-        res, info = auto_detect(y, filt, alpha="auto", threads=threads)
+        res, info = auto_detect(y, filt, alpha="auto")
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
     pair, star, cfg = info["scale_report"], info["s_star_report"], info["config"]
@@ -328,7 +327,6 @@ def build_parser():
     p = sub.add_parser("tune", help="data-driven scale and level selection")
     p.add_argument("--input", required=True)
     p.add_argument("--filter", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_tune)
 
     p = sub.add_parser("simulate", help="write a synthetic series + truth sidecar")

@@ -88,15 +88,20 @@ def _window(n: int, s: float) -> int:
     return h
 
 
-def _check_input(y, s):
+def _finite_series(y) -> np.ndarray:
+    """``y`` as a 1-D float array; ``ValueError`` naming its first non-finite entry."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be one-dimensional")
-    n = len(y)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValueError(f"non-finite input at index {bad[0]}")
-    return y, n, _window(n, s)
+    return y
+
+
+def _check_input(y, s):
+    y = _finite_series(y)
+    return y, len(y), _window(len(y), s)
 
 
 def _valid_mask(n, h):

@@ -80,11 +80,11 @@ def mjpd_detect(field_: MultiscaleField, threshold: float) -> list:
     return sorted(out, key=lambda r: r.location)
 
 
-def cusum_refine(y, raw: list, z: float, alpha_tilde: float = ALPHA_TILDE) -> list:
+def cusum_refine(y, raw: list, z: float) -> list:
     """Second-stage refinement around each first-stage estimate.
 
     For each jump at d, builds the local CUSUM contrast on the window
-    [d - (2 + alpha_tilde) z, d + (2 + alpha_tilde) z] and takes the
+    [d - (2 + ALPHA_TILDE) z, d + (2 + ALPHA_TILDE) z] and takes the
     argmax of its absolute value over [d - z, d + z].  The contrast peaks
     on the last observation before the level change, i.e. the reported
     location is exact for steps switching on strictly after d (the
@@ -100,8 +100,8 @@ def cusum_refine(y, raw: list, z: float, alpha_tilde: float = ALPHA_TILDE) -> li
     locs = [r.location if isinstance(r, RawJump) else float(r) for r in raw]
     refined = []
     for d in locs:
-        lo_t = max(d - (2.0 + alpha_tilde) * z, 0.0)
-        hi_t = min(d + (2.0 + alpha_tilde) * z, 1.0)
+        lo_t = max(d - (2.0 + ALPHA_TILDE) * z, 0.0)
+        hi_t = min(d + (2.0 + ALPHA_TILDE) * z, 1.0)
         # indices with (i+1)/n inside [lo_t, hi_t]
         i0 = max(int(math.ceil(lo_t * n)) - 1, 0)
         i1 = min(int(math.floor(hi_t * n)) - 1, n - 1)
@@ -174,7 +174,6 @@ def detect_pipeline(
     threshold_mode: str = "analytic",
     seed: int = 0,
     threads: int = 1,
-    field_: MultiscaleField | None = None,
 ) -> DetectionResult:
     """Full two-stage detection: field -> threshold -> peaks -> refinement.
 
@@ -183,23 +182,21 @@ def detect_pipeline(
     ``ValueError``.  Analytic and bootstrap thresholds are multiplied by
     the finite-sample denominator factor.  Refinement uses the half-window
     z = ``cfg.s_lower`` (rule of thumb) and ``ALPHA_TILDE``.
-    A precomputed ``field_`` of ``y`` under ``cfg`` and ``filt`` is reused as
-    is; one built for another config, series length or filter raises
-    ``ValueError``.
     ``threads`` parallelizes the bootstrap null replicates and does not
-    change the result.
+    change the result.  ``tuning.auto_detect`` with ``cfg`` and a level
+    gives the same result and returns the field it built.
     """
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    if field_ is None:
-        field_ = multiscale_field(y, cfg, filt)
-    elif field_.cfg != cfg or field_.n != n:
-        raise ValueError(
-            f"field_ was built for {field_.cfg} at n={field_.n}, not for {cfg} at n={n}"
-        )
-    elif field_.filt != filt:
-        raise ValueError(f"field_ was built with {field_.filt}, not with {filt}")
-    c, k, kind = _resolve_threshold(threshold_mode, alpha, cfg, filt, n, seed, threads)
+    return _pass_on_field(y, multiscale_field(y, cfg, filt), alpha, threshold_mode, seed, threads)
+
+
+def _pass_on_field(y, field_, alpha, threshold_mode, seed, threads) -> DetectionResult:
+    """Threshold, peaks and refinement of ``y`` on its field ``field_``.
+
+    The configuration, filter and length are the field's own.
+    """
+    cfg, n = field_.cfg, field_.n
+    c, k, kind = _resolve_threshold(threshold_mode, alpha, cfg, field_.filt, n, seed, threads)
     raw = mjpd_detect(field_, c)
     refined = cusum_refine(y, raw, z=cfg.s_lower)
     return DetectionResult(

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolve import filter_bank
+from .convolve import _finite_series, filter_bank
 
 __all__ = ["MIN_N", "ScaleConfig", "scale_grid", "MultiscaleField", "multiscale_field"]
 
@@ -134,14 +134,16 @@ def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     return _windowed_mean(raw, raw.shape[-1], 0, ((-half, half + 1),))
 
 
-def _field_batch(ymat: np.ndarray, cfg: ScaleConfig, filt):
-    """Scale grid, smoothed denominator, valid mask and lazy grid responses.
+def _field_batch(ymat: np.ndarray, cfg: ScaleConfig, filt, arg=None):
+    """Scale grid, max over scales of |H|, smoothed denominator and valid mask.
 
-    The one statistic core: detection (``multiscale_field``, one row) and
-    the null simulation behind the thresholds (``threshold._gauss_max_stats``)
-    both reduce the responses to max_u |H(t, u)| and divide by sqrt(Xi) on
-    the valid mask.  One filter bank serves the denominator scale and every
-    grid scale, so each row is transformed once.
+    The one statistic core: detection (``multiscale_field``) and the null
+    simulation behind the thresholds (``threshold._gauss_max_stats``) both
+    take max_u |H(t, u)| here and divide it by sqrt(Xi) on the valid mask.
+    One filter bank serves the denominator scale and every grid scale, so
+    each row is transformed once.  Detection passes an (m, n) int16 ``arg``,
+    which receives the index of the first grid scale attaining the maximum;
+    the null simulation passes none and skips that bookkeeping.
 
     A point is valid when it lies in the core [s_upper, 1 - s_upper] and its
     Xi is at least ``_XI_FLOOR`` times the row maximum.  A row without
@@ -160,7 +162,14 @@ def _field_batch(ymat: np.ndarray, cfg: ScaleConfig, filt):
     b = int(math.floor(n * cfg.s_upper))
     valid[:, :b] = False
     valid[:, n - b :] = False
-    return grid, xi, valid, bank
+    # running max over scales; a strict comparison keeps the first arg-max
+    hmax = np.abs(next(bank))
+    for u, hs in enumerate(bank, start=1):
+        h = np.abs(hs, out=hs)
+        if arg is not None:
+            np.copyto(arg, u, where=h > hmax)
+        np.maximum(hmax, h, out=hmax)
+    return grid, hmax, xi, valid
 
 
 def _self_normalized(hmax, xi, valid, fill):
@@ -206,24 +215,17 @@ class MultiscaleField:
 def _multiscale_fields(ymat: np.ndarray, cfg: ScaleConfig, filt) -> list:
     """The multiscale statistic of each row of the (m, n) ``ymat``, as one batch.
 
-    One ``_field_batch`` serves every row, and one running max/arg-max over
-    the scales covers the whole (m, n) block, so row i is bitwise the field
-    of ``ymat[i]`` alone.  Raises ``ValueError`` as ``multiscale_field``
-    does when any row has no valid point.
+    One ``_field_batch``, arg-max included, serves every row, so row i is
+    bitwise the field of ``ymat[i]`` alone.  Raises ``ValueError`` as
+    ``multiscale_field`` does when any row has no valid point.
     """
     m, n = ymat.shape
     if n < MIN_N:
         raise ValueError(f"series too short (n >= {MIN_N} required)")
-    grid, xi, valid, bank = _field_batch(ymat, cfg, filt)
+    arg = np.zeros((m, n), dtype=np.int16)
+    grid, hmax, xi, valid = _field_batch(ymat, cfg, filt, arg)
     if not valid.any(axis=1).all():
         raise ValueError("no valid point: the denominator is degenerate (constant series?)")
-    # running max over scales; a strict comparison keeps the first arg-max
-    hmax = np.abs(next(bank))
-    arg = np.zeros((m, n), dtype=np.int16)
-    for u, hs in enumerate(bank, start=1):
-        h = np.abs(hs, out=hs)
-        np.copyto(arg, u, where=h > hmax)
-        np.maximum(hmax, h, out=hmax)
     g = _self_normalized(hmax, xi, valid, np.nan)
     return [
         MultiscaleField(grid=grid, hmax=hmax[i], arg=arg[i], xi=xi[i], g=g[i],
@@ -235,8 +237,9 @@ def _multiscale_fields(ymat: np.ndarray, cfg: ScaleConfig, filt) -> list:
 def multiscale_field(y, cfg: ScaleConfig, filt) -> MultiscaleField:
     """Build the full multiscale statistic for one series.
 
-    Raises ``ValueError`` when no point of the valid core has a
-    non-degenerate denominator (a constant series, for one).
+    Raises ``ValueError`` on a non-finite entry, before any transform, and
+    when no point of the valid core has a non-degenerate denominator (a
+    constant series, for one).
     """
-    (field_,) = _multiscale_fields(np.asarray(y, dtype=float)[None, :], cfg, filt)
+    (field_,) = _multiscale_fields(_finite_series(y)[None, :], cfg, filt)
     return field_

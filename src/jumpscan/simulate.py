@@ -30,7 +30,8 @@ import numpy as np
 
 from .detect import _resolve_threshold
 from .field import MIN_N, ScaleConfig, _multiscale_fields
-from .tuning import _detect_on_field, _level, auto_detect
+from .threshold import tail_constants
+from .tuning import _cv_grid, _detect_on_field, _level, auto_detect
 from .util import rng_for
 
 __all__ = [
@@ -139,7 +140,7 @@ def _tv_arma(n, burn_in, phi, theta, kind, rngs, lo=0, hi=None):
     return _lag_sum(u, lag, coef, lo, hi)
 
 
-def _tv_ma(n, burn_in, base, amp, kind, rngs, trunc=_MA_TRUNC):
+def _tv_ma(n, burn_in, base, amp, kind, rngs):
     """Explicit MA expansion x_i = amp(t_i) * sum_j base(t_i)^j eta_{i-j}, one row per generator.
 
     As in ``_tv_arma``, the burn-in serves the expansion only and its
@@ -154,7 +155,7 @@ def _tv_ma(n, burn_in, base, amp, kind, rngs, trunc=_MA_TRUNC):
     def coef(j):
         return np.multiply(bp, b, out=bp)
 
-    return amp(t[burn_in:]) * _lag_sum(eta, trunc, coef, burn_in)
+    return amp(t[burn_in:]) * _lag_sum(eta, _MA_TRUNC, coef, burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +467,7 @@ def _mc_chunk(task):
         ]
     else:
         results = [
-            _detect_on_field(y, f, filt, alpha, {}, threshold_mode=det.threshold_mode)
+            _detect_on_field(y, f, alpha, {}, threshold_mode=det.threshold_mode)
             for y, f in zip(ymat, _multiscale_fields(ymat, det.cfg, filt))
         ]
     dt = (time.perf_counter() - t0) / len(reps)
@@ -527,10 +528,14 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     if threads < 1:
         raise ValueError("threads must be at least 1")
 
-    # warm the calibration caches before forking, at a replicate's seed and
-    # thread count; automatic scales differ per replicate, so there is nothing to warm
+    # warm the calibration caches, and the level grid select_alpha reads,
+    # before forking, at a replicate's seed and thread count; automatic
+    # scales differ per replicate, so there is nothing to warm
     if det.cfg is not None:
-        _resolve_threshold(det.threshold_mode, 0.10, det.cfg, det.filter(), sc.n, 0, 1)
+        cfg, filt = det.cfg, det.filter()
+        _resolve_threshold(det.threshold_mode, 0.10, cfg, filt, sc.n, 0, 1)
+        if det.alpha == "auto":
+            _cv_grid(tail_constants(filt, cfg.s_lower, cfg.s_upper))
 
     workers = min(threads, R)
     tasks = [(sc, det, seed, reps) for reps in _chunks(R, workers, _BURN_IN + sc.n)]

@@ -109,12 +109,13 @@ def _gauss_max_stats(n, cfg, filt, B, seed, threads=1):
     """Null maxima from B Gaussian multiplier series.
 
     Returns read-only arrays (selfnorm_max, fixed_max, fullrange_fixed_max):
-    the self-normalized maximum over the valid mask of the statistic core,
-    the deterministic-denominator maximum over the core [s_upper,
-    1 - s_upper], and the deterministic maximum over every time point.  Rows
-    are simulated in chunks of 128 to bound memory, and the chunks are
-    spread over ``threads`` threads; row seeds and order do not depend on
-    it.  Cached, so every quantile of one configuration comes from one
+    the self-normalized maximum over the valid mask of the statistic core
+    (``field._field_batch``, as detection builds it), the
+    deterministic-denominator maximum over the core [s_upper, 1 - s_upper],
+    and the deterministic maximum over every time point.  Rows are
+    simulated in chunks of 128 to bound memory, and the chunks are spread
+    over ``threads`` threads; row seeds and order do not depend on it.
+    Cached, so every quantile of one configuration comes from one
     simulation.
     """
     b = int(math.floor(n * cfg.s_upper))
@@ -123,10 +124,7 @@ def _gauss_max_stats(n, cfg, filt, B, seed, threads=1):
     def chunk(start):
         rows = range(start, min(start + 128, B))
         ymat = np.vstack([rng_for(seed, r).standard_normal(n) for r in rows])
-        _, xi, valid, bank = _field_batch(ymat, cfg, filt)
-        hmax = np.abs(next(bank))
-        for hs in bank:
-            np.maximum(hmax, np.abs(hs, out=hs), out=hmax)
+        _, hmax, xi, valid = _field_batch(ymat, cfg, filt)
         sn = np.max(_self_normalized(hmax, xi, valid, -np.inf), axis=1)
         fixed = np.max(hmax[:, b : n - b], axis=1) / root_u11
         return sn, fixed, np.max(hmax, axis=1) / root_u11

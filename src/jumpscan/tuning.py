@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detect import _parse_threshold, _resolve_threshold, detect_pipeline, mjpd_detect
-from .convolve import filter_bank
+from .detect import _parse_threshold, _pass_on_field, _resolve_threshold, mjpd_detect
+from .convolve import _finite_series, filter_bank
 from .field import MultiscaleField, ScaleConfig, _xi_band, multiscale_field
 from .threshold import TailConstants, critical_value, tail_constants
 
@@ -112,7 +112,7 @@ def select_s_star(y, s_lower: float, s_upper: float, filt) -> MvReport:
     (over time) sample variance of sqrt(Xi(t)) across its 2k+1 neighbors,
     k = ``_S_STAR_RADIUS``.
     """
-    y = np.asarray(y, dtype=float)
+    y = _finite_series(y)
     n = len(y)
     k = _S_STAR_RADIUS
     lo = min_s_star(n)
@@ -168,7 +168,7 @@ def select_scales(y, filt) -> MvReport:
     calibrating every candidate pair would dominate the cost.  No
     refinement runs.
     """
-    y = np.asarray(y, dtype=float)
+    y = _finite_series(y)
     grid1, grid2 = _scale_grids(len(y))
     k1, k2, k3 = len(grid1), len(grid2), _SCALE_RADIUS
 
@@ -291,20 +291,22 @@ def auto_detect(
     """Detection with data-driven tuning; returns (result, info).
 
     The keywords after ``threads`` are those of :func:`detect_pipeline`, with
-    its defaults.  A malformed ``threshold_mode``, or an ``alpha`` that is
-    neither ``'auto'`` nor in (0, 0.5), raises ``ValueError`` before any
-    work.  Missing scales come from the minimum-volatility selections, which
-    read only analytic critical values, whatever the threshold mode.  With
+    its defaults.  A malformed ``threshold_mode``, an ``alpha`` that is
+    neither ``'auto'`` nor in (0, 0.5), or a non-finite entry of ``y``
+    raises ``ValueError`` before any work.  Missing scales come from the
+    minimum-volatility selections, which read only analytic critical
+    values, whatever the threshold mode.  With
     ``alpha='auto'`` the level is chosen by :func:`select_alpha` and, when
     the raw peaks of a moderate-level probe include candidate jumps,
     refreshed once with their count and implied minimum jump size.  Only
     the probe and the final detection pass use ``threshold_mode``; the pass
     runs at the settled level.  The field is built once; the probe and the
-    pass reuse it and ``info["field"]`` returns it.
+    pass reuse it and ``info["field"]`` returns it.  With ``cfg`` and a
+    level, the result is that of :func:`detect_pipeline`.
     """
     _parse_threshold(threshold_mode)
     alpha = _level(alpha)
-    y = np.asarray(y, dtype=float)
+    y = _finite_series(y)
     info = {}
     if cfg is None:
         pair = select_scales(y, filt)
@@ -317,34 +319,24 @@ def auto_detect(
     field_ = multiscale_field(y, cfg, filt)
     info["field"] = field_
     res = _detect_on_field(
-        y, field_, filt, alpha, info, threshold_mode=threshold_mode, seed=seed, threads=threads
+        y, field_, alpha, info, threshold_mode=threshold_mode, seed=seed, threads=threads
     )
     return res, info
 
 
-def _detect_on_field(
-    y, field_, filt, alpha, info, *, threshold_mode="analytic", seed=0, threads=1
-):
+def _detect_on_field(y, field_, alpha, info, *, threshold_mode="analytic", seed=0, threads=1):
     """What :func:`auto_detect` does once the field of ``y`` is built.
 
     ``alpha`` is ``'auto'`` or a level already checked by ``_level``; the
     keywords and their defaults are those of :func:`auto_detect`.  With
     ``'auto'`` the level is settled from the field (``select_alpha``, then
     the probe); the level choices go into ``info``, and one detection pass
-    runs on ``field_``.
+    runs on ``field_``, whose configuration, filter and length are used.
     """
-    cfg = field_.cfg
-    n = field_.n
-
-    def level_pass(level):
-        return detect_pipeline(
-            y, cfg, filt, alpha=level, threshold_mode=threshold_mode, seed=seed,
-            threads=threads, field_=field_,
-        )
-
+    cfg, filt, n = field_.cfg, field_.filt, field_.n
     if alpha != "auto":
         info["alpha"] = alpha
-        return level_pass(alpha)
+        return _pass_on_field(y, field_, alpha, threshold_mode, seed, threads)
 
     tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
     corr = _resolve_threshold(threshold_mode, 0.10, cfg, filt, n, seed, threads)[1]
@@ -391,7 +383,7 @@ def _detect_on_field(
             level = a2
         info["alpha_round2"] = a2
     # the level is settled: one full pass, refinement included
-    res = level_pass(level)
+    res = _pass_on_field(y, field_, level, threshold_mode, seed, threads)
     info["alpha"] = res.alpha
     info["sigma_sup"] = sigma
     return res

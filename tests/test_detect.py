@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from jumpscan.detect import RawJump, _resolve_threshold, cusum_refine, detect_pi
 from jumpscan.field import MultiscaleField, ScaleConfig, multiscale_field
 from jumpscan.filters import builtin_wstar, construct_beta_filter
 from jumpscan.threshold import fs_correction
+from jumpscan.tuning import auto_detect, select_s_star, select_scales
 
 W = builtin_wstar()
 CFG = ScaleConfig(s_lower=0.061, s_upper=0.167, s_star=0.03)
@@ -217,34 +219,26 @@ def test_malformed_threshold_mode_raises(mode):
         _resolve_threshold(mode, 0.05, CFG, W, 500, 0, 1)
 
 
-def test_pipeline_reuses_prebuilt_field():
-    y = step_series(seed=10)
-    f = multiscale_field(y, CFG, W)
-    r1 = detect_pipeline(y, CFG, W, alpha=0.05, field_=f)
-    r2 = detect_pipeline(y, CFG, W, alpha=0.05)
-    assert [j.location for j in r1.jumps_raw] == [j.location for j in r2.jumps_raw]
-
-
-def test_pipeline_rejects_a_field_of_another_config_or_length():
-    y = step_series(seed=10)
-    other = ScaleConfig(s_lower=0.045, s_upper=0.12, s_star=0.03)
-    with pytest.raises(ValueError, match="field_ was built for"):
-        detect_pipeline(y, CFG, W, field_=multiscale_field(y, other, W))
-    with pytest.raises(ValueError, match="field_ was built for"):
-        detect_pipeline(y[:400], CFG, W, field_=multiscale_field(y, CFG, W))
-
-
-def test_pipeline_rejects_a_field_of_another_filter():
-    from jumpscan.simulate import PlsScenario, gen_series
-
-    y, _ = gen_series(PlsScenario.make("II", "PLS", n=500, seed=7))
-    beta, _ = construct_beta_filter(2, 50)
-    assert detect_pipeline(y, CFG, beta, field_=multiscale_field(y, CFG, beta)).count == 2
-    # the built-in filter's field of this series has no peak above the beta threshold
-    with pytest.raises(ValueError, match="field_ was built with"):
-        detect_pipeline(y, CFG, beta, field_=multiscale_field(y, CFG, W))
-    # an equal filter built anew is the same filter
-    detect_pipeline(y, CFG, builtin_wstar(), field_=multiscale_field(y, CFG, W))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "path",
+    ["detect_pipeline", "multiscale_field", "auto_detect", "auto_scales", "select_s_star", "select_scales"],
+)
+def test_non_finite_input_fails_before_any_transform(path, bad):
+    y = step_series(seed=3)
+    y[17] = bad
+    run = {
+        "detect_pipeline": lambda: detect_pipeline(y, CFG, W),
+        "multiscale_field": lambda: multiscale_field(y, CFG, W),
+        "auto_detect": lambda: auto_detect(y, W, cfg=CFG, alpha=0.05),
+        "auto_scales": lambda: auto_detect(y, W, cfg=None),
+        "select_s_star": lambda: select_s_star(y, CFG.s_lower, CFG.s_upper, W),
+        "select_scales": lambda: select_scales(y, W),
+    }[path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the filter bank must not see the value
+        with pytest.raises(ValueError, match="non-finite input at index 17"):
+            run()
 
 
 def test_pipeline_runs_with_beta_filter():

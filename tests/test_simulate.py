@@ -26,7 +26,8 @@ from jumpscan.simulate import (
     _plsn_g,
     _tv_arma,
 )
-from jumpscan.tuning import auto_detect
+from jumpscan.threshold import tail_constants
+from jumpscan.tuning import _cv_grid, auto_detect
 from jumpscan.util import rng_for
 
 
@@ -316,6 +317,18 @@ def test_monte_carlo_auto_level_thread_invariant():
     for m in runs:
         _assert_same_replicates(runs[0], m)
         assert m["mean_gen_runtime"] > 0 and m["mean_runtime"] > 0
+
+
+def test_monte_carlo_warms_the_level_grid_before_forking():
+    # forked workers inherit the parent's cache; without the warm-up each
+    # worker would rebuild the grid on every call
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    det = DetectorSpec(cfg=cfg, alpha="auto")
+    _cv_grid.cache_clear()
+    monte_carlo(PlsScenario.make("II", "PLS", n=500), det, R=50, seed=4, threads=2)
+    misses = _cv_grid.cache_info().misses
+    _cv_grid(tail_constants(det.filter(), cfg.s_lower, cfg.s_upper))
+    assert _cv_grid.cache_info().misses == misses
 
 
 def test_chunks_cover_replicates_in_near_equal_ranges(monkeypatch):

@@ -244,7 +244,7 @@ def test_auto_detect_refines_once(cfg, monkeypatch):
 def test_auto_detect_is_one_pipeline_pass_at_its_level(y):
     cfg = ScaleConfig(0.061, 0.167, 0.03)
     res, info = auto_detect(y, W, cfg=cfg, alpha="auto")
-    again = detect_pipeline(y, cfg, W, alpha=info["alpha"], field_=info["field"])
+    again = detect_pipeline(y, cfg, W, alpha=info["alpha"])
     assert res.to_dict() == again.to_dict()
 
 
@@ -299,6 +299,20 @@ def test_auto_detect_rejects_malformed_mode_before_any_work(mode, no_work):
 def test_auto_detect_rejects_bad_level_before_any_work(alpha, no_work):
     with pytest.raises(ValueError, match="alpha must be 'auto' or lie in"):
         auto_detect(step_series(500, 3.0, seed=4), W, cfg=None, alpha=alpha)
+
+
+def test_auto_detect_returns_the_field_of_its_filter():
+    from jumpscan.filters import construct_beta_filter
+    from jumpscan.simulate import PlsScenario, gen_series
+
+    # the built-in filter's field of this series has no peak above the beta threshold
+    y, _ = gen_series(PlsScenario.make("II", "PLS", n=500, seed=7))
+    beta, _ = construct_beta_filter(2, 50)
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    res, info = auto_detect(y, beta, cfg=cfg, alpha=0.05)
+    assert info["field"].filt == beta and info["field"].cfg == cfg
+    assert res.count == 2
+    assert res.to_dict() == detect_pipeline(y, cfg, beta, alpha=0.05).to_dict()
 
 
 def test_auto_detect_fixed_level_is_detect_pipeline():
