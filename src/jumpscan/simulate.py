@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import _resolve_threshold
+from .detect import _parse_threshold, _resolve_threshold
 from .field import MIN_N, ScaleConfig, _multiscale_fields
 from .threshold import tail_constants
 from .tuning import _cv_grid, _detect_on_field, _level, auto_detect
@@ -454,9 +454,8 @@ def _mc_chunk(task):
     detection s, generation s) row per replicate, the chunk's times shared
     evenly by its replicates.
     """
-    sc, det, seed, reps = task
+    sc, det, alpha, seed, reps = task
     filt = det.filter()
-    alpha = _level(det.alpha)
     t_gen = time.perf_counter()
     ymat, truth = _generate(sc, [rng_for(seed, r) for r in reps])
     t0 = time.perf_counter()
@@ -521,8 +520,11 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     forked worker processes (the replicate loop is small-array bound, which
     starves thread pools).  ``mean_runtime`` and ``mean_gen_runtime`` are
     the mean detection and generation times per replicate: each chunk's
-    times shared evenly by its replicates.
+    times shared evenly by its replicates.  A malformed threshold mode or
+    level raises ``ValueError`` before any calibration or worker starts.
     """
+    _parse_threshold(det.threshold_mode)
+    alpha = _level(det.alpha)
     if R < 50:
         raise ValueError("R must be at least 50")
     if threads < 1:
@@ -534,11 +536,11 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     if det.cfg is not None:
         cfg, filt = det.cfg, det.filter()
         _resolve_threshold(det.threshold_mode, 0.10, cfg, filt, sc.n, 0, 1)
-        if det.alpha == "auto":
+        if alpha == "auto":
             _cv_grid(tail_constants(filt, cfg.s_lower, cfg.s_upper))
 
     workers = min(threads, R)
-    tasks = [(sc, det, seed, reps) for reps in _chunks(R, workers, _BURN_IN + sc.n)]
+    tasks = [(sc, det, alpha, seed, reps) for reps in _chunks(R, workers, _BURN_IN + sc.n)]
     chunks = _pool_chunks(tasks, workers) if workers > 1 else None
     if chunks is None:
         chunks = [_mc_chunk(t) for t in tasks]

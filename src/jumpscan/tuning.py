@@ -200,43 +200,22 @@ def select_scales(y, filt) -> MvReport:
     return MvReport(candidates=pairs, scores=scores, chosen_index=order[0])
 
 
-def select_alpha(
-    n: int,
-    s_upper: float,
-    sigma_sup: float,
-    tc: TailConstants,
-    filt,
-    m_guess: float | None = None,
-    delta_guess: float | None = None,
-    correction: float = 1.0,
-) -> float:
+def select_alpha(xi_n: float, m: float, tc: TailConstants, correction: float) -> float:
     """Detection level minimizing a mis-identification bound.
 
     Balances the false-alarm level q against the chance of missing one of
-    ``m_guess`` jumps of size ``delta_guess``; the miss term is evaluated
-    through the detectability ratio xi_n implied by the configuration.
-    ``correction`` scales the thresholds the same way detection does.
+    ``m`` jumps whose detectability ratio (jump size over local noise, in
+    units of the statistic) is ``xi_n``.  ``correction`` scales the
+    thresholds the same way detection does.  A non-finite or negative
+    ``xi_n`` raises ``ValueError``.
     """
-    if sigma_sup <= 0:
-        raise ValueError("sigma_sup must be positive")
-    if m_guess is None:
-        m_guess = 1.0 / (2.0 * s_upper)
-    if delta_guess is None:
-        delta_guess = s_upper
-    mom = filt.moments()
-    xi_n = (
-        math.sqrt(n * s_upper)
-        * delta_guess
-        * mom.f0
-        / (sigma_sup * math.sqrt(mom.u11))
-    )
-    if not math.isfinite(xi_n):
-        raise ValueError("non-finite detectability ratio")
+    if not 0 <= xi_n < math.inf:
+        raise ValueError(f"detectability ratio must be finite and non-negative, got {xi_n!r}")
     cvals = _cv_grid(tc) * correction
     # both tails of hit in one call: P(Z < c - xi_n) - P(Z < -c - xi_n)
     tails = _norm_cdf(np.concatenate([cvals - xi_n, -cvals - xi_n]))
     hit = tails[: len(cvals)] - tails[len(cvals) :]
-    miss = 1.0 - (1.0 - hit) ** m_guess
+    miss = 1.0 - (1.0 - hit) ** m
     delta = _Q_GRID + miss
     return float(_Q_GRID[int(np.argmin(delta))])
 
@@ -254,16 +233,6 @@ def sigma_sup_estimate(field_: MultiscaleField) -> float:
     if len(vals) == 0:
         raise ValueError("no valid denominator entries")
     return float(np.sqrt(np.max(vals) / field_.u11))
-
-
-def _implied_jump_size(g_value, n, s_upper, sigma_sup, filt):
-    """Jump size whose detectability ratio equals the observed peak value.
-
-    Inverting the ratio makes the follow-up level selection depend on the
-    peak statistic itself, so the noise-level estimate cancels out.
-    """
-    m = filt.moments()
-    return g_value * sigma_sup * math.sqrt(m.u11) / (math.sqrt(n * s_upper) * m.f0)
 
 
 def _level(alpha):
@@ -298,9 +267,9 @@ def auto_detect(
     values, whatever the threshold mode.  With
     ``alpha='auto'`` the level is chosen by :func:`select_alpha` and, when
     the raw peaks of a moderate-level probe include candidate jumps,
-    refreshed once with their count and implied minimum jump size.  Only
-    the probe and the final detection pass use ``threshold_mode``; the pass
-    runs at the settled level.  The field is built once; the probe and the
+    refreshed once with their count and the weakest one's peak as the
+    ratio.  Only the probe and the final detection pass use
+    ``threshold_mode``; the pass runs at the settled level.  The field is built once; the probe and the
     pass reuse it and ``info["field"]`` returns it.  With ``cfg`` and a
     level, the result is that of :func:`detect_pipeline`.
     """
@@ -341,26 +310,33 @@ def _detect_on_field(y, field_, alpha, info, *, threshold_mode="analytic", seed=
     tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
     corr = _resolve_threshold(threshold_mode, 0.10, cfg, filt, n, seed, threads)[1]
     sigma = sigma_sup_estimate(field_)
-    a1 = select_alpha(n, cfg.s_upper, sigma, tc, filt, correction=corr)
+    if sigma <= 0:
+        raise ValueError("sigma_sup must be positive")
+    # Round 1: the ratio of a rule-of-thumb jump of size s_upper at the
+    # noise level sigma, one of 1 / (2 s_upper) jumps.
+    mom = filt.moments()
+    xi_n = math.sqrt(n * cfg.s_upper) * cfg.s_upper * mom.f0 / (sigma * math.sqrt(mom.u11))
+    a1 = select_alpha(xi_n, 1.0 / (2.0 * cfg.s_upper), tc, corr)
     info["alpha_round1"] = a1
     level = a1
-    # Refinement round.  The rule-of-thumb size guess is pessimistic, so the
-    # first level is usually the grid minimum.  A moderate-level probe
-    # always runs to enumerate candidate jumps (the strict pass may see only
-    # the strongest), and the weakest candidate peak implies the size guess
-    # for the final level.  Marginal probe peaks imply a marginal size,
+    # Round 2.  The rule-of-thumb ratio is pessimistic, so the first level
+    # is usually the grid minimum.  A moderate-level probe always runs to
+    # enumerate candidate jumps (the strict pass may see only the
+    # strongest), and the weakest candidate peak is the ratio for the final
+    # level: a peak G is the statistic's value at a jump, the ratio in the
+    # units select_alpha reads.  A marginal probe peak is a marginal ratio,
     # which drives the selected level back to the grid minimum, so a
     # spurious probe hit cannot survive to the final pass.  The probe needs
     # only the raw peaks.
     c, _, _ = _resolve_threshold(threshold_mode, max(0.10, a1), cfg, filt, n, seed, threads)
     probe = mjpd_detect(field_, c)
     # Candidates barely above the probe threshold are as likely noise
-    # exceedances as jumps; letting them drive the size guess would push
-    # the level to the grid ceiling.  A candidate informs the final level
-    # if it would survive a strict pass, or if its peak is achieved near
-    # the top of the scale grid: genuine jumps are maximized at the widest
-    # scales (the response grows with the window), while noise exceedances
-    # scatter across the grid.
+    # exceedances as jumps; letting them set the ratio would push the level
+    # to the grid ceiling.  A candidate informs the final level if it would
+    # survive a strict pass, or if its peak is achieved near the top of the
+    # scale grid: genuine jumps are maximized at the widest scales (the
+    # response grows with the window), while noise exceedances scatter
+    # across the grid.
     bar = critical_value(_CANDIDATE_BAR_LEVEL, tc) * corr
     strong = [
         j
@@ -368,20 +344,8 @@ def _detect_on_field(y, field_, alpha, info, *, threshold_mode="analytic", seed=
         if j.g_value >= bar or j.scale >= _TOP_SCALE_FRACTION * cfg.s_upper
     ]
     if strong:
-        g_min = min(j.g_value for j in strong)
-        a2 = select_alpha(
-            n,
-            cfg.s_upper,
-            sigma,
-            tc,
-            filt,
-            m_guess=len(strong),
-            delta_guess=_implied_jump_size(g_min, n, cfg.s_upper, sigma, filt),
-            correction=corr,
-        )
-        if abs(a2 - a1) > 1e-12:
-            level = a2
-        info["alpha_round2"] = a2
+        level = select_alpha(min(j.g_value for j in strong), len(strong), tc, corr)
+        info["alpha_round2"] = level
     # the level is settled: one full pass, refinement included
     res = _pass_on_field(y, field_, level, threshold_mode, seed, threads)
     info["alpha"] = res.alpha

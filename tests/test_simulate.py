@@ -379,8 +379,26 @@ class _SerialPool:
 
     def map(self, fn, tasks):
         tasks = list(tasks)
-        self.asked.append([len(task[3]) for task in tasks])
+        self.asked.append([len(task[-1]) for task in tasks])
         return map(fn, tasks)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached after a bad argument")
+
+
+@pytest.mark.parametrize("cfg", [ScaleConfig(0.061, 0.167, 0.03), None], ids=["fixed", "auto"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [({"alpha": 0.7}, "alpha must be 'auto'"), ({"threshold_mode": "bogus"}, "bad threshold mode")],
+    ids=["alpha", "threshold"],
+)
+def test_monte_carlo_rejects_bad_arguments_before_any_work(monkeypatch, cfg, bad, message):
+    # neither the pre-fork calibration nor the pool may start
+    monkeypatch.setattr(simulate, "_resolve_threshold", _never)
+    monkeypatch.setattr(simulate, "_pool_chunks", _never)
+    with pytest.raises(ValueError, match=message):
+        monte_carlo(PlsScenario.make("I", "GS", n=500), DetectorSpec(cfg, **bad), R=50, threads=2)
 
 
 def test_monte_carlo_pool_capped_at_replicates(monkeypatch):
@@ -400,7 +418,7 @@ def test_replicate_at_a_fixed_level_is_detect_pipeline():
     sc = PlsScenario.make("II", "PLS", n=500)
     det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05)
     # two chunks: replicates 1 | 2 sit on both sides of the boundary
-    rows = _mc_chunk((sc, det, 6, range(0, 2))) + _mc_chunk((sc, det, 6, range(2, 4)))
+    rows = _mc_chunk((sc, det, 0.05, 6, range(0, 2))) + _mc_chunk((sc, det, 0.05, 6, range(2, 4)))
     for r, (count, hit, mad_raw, mad_ref, _, _) in enumerate(rows):
         (y,), truth = simulate._generate(sc, [rng_for(6, r)])
         res = detect_pipeline(y, det.cfg, det.filter(), alpha=0.05)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -126,16 +128,22 @@ def test_norm_cdf_matches_ndtr():
 # alpha selection
 # ---------------------------------------------------------------------------
 
+def _rule_of_thumb_ratio(n, s_upper, delta, sigma=1.0):
+    """Detectability ratio of a jump of size ``delta`` at noise level ``sigma``."""
+    m = W.moments()
+    return math.sqrt(n * s_upper) * delta * m.f0 / (sigma * math.sqrt(m.u11))
+
+
 def test_select_alpha_on_grid_and_minimal():
     tc = tail_constants(W, 0.061, 0.167)
-    a = select_alpha(500, 0.167, sigma_sup=1.0, tc=tc, filt=W)
+    # the round-1 ratio of auto_detect at n = 500, s_upper = 0.167, sigma = 1
+    xi = _rule_of_thumb_ratio(500, 0.167, 0.167)
+    a = select_alpha(xi, 1 / (2 * 0.167), tc, 1.0)
     grid = np.arange(0.001, 0.301, 0.001)
     assert np.min(np.abs(grid - a)) < 1e-12
     # recompute the objective and check minimality
     from scipy.stats import norm
 
-    m = W.moments()
-    xi = np.sqrt(500 * 0.167) * 0.167 * m.f0 / np.sqrt(m.u11)
     cv = np.array([critical_value(q, tc) for q in grid])
     delta = grid + 1 - (1 - (norm.cdf(cv - xi) - norm.cdf(-cv - xi))) ** (1 / (2 * 0.167))
     assert delta[np.argmin(np.abs(grid - a))] <= delta.min() + 1e-12
@@ -143,20 +151,21 @@ def test_select_alpha_on_grid_and_minimal():
 
 def test_select_alpha_large_signal_picks_grid_minimum():
     tc = tail_constants(W, 0.061, 0.167)
-    a = select_alpha(500, 0.167, sigma_sup=1.0, tc=tc, filt=W, delta_guess=50.0)
+    a = select_alpha(_rule_of_thumb_ratio(500, 0.167, 50.0), 1 / (2 * 0.167), tc, 1.0)
     assert a == pytest.approx(0.001)
 
 
 def test_select_alpha_zero_signal_in_range():
     tc = tail_constants(W, 0.061, 0.167)
-    a = select_alpha(500, 0.167, sigma_sup=1.0, tc=tc, filt=W, delta_guess=0.0)
+    a = select_alpha(0.0, 1 / (2 * 0.167), tc, 1.0)
     assert 0.001 <= a <= 0.300
 
 
 def test_select_alpha_rejects_nonfinite_signal():
     tc = tail_constants(W, 0.061, 0.167)
-    with pytest.raises(ValueError):
-        select_alpha(500, 0.167, sigma_sup=0.0, tc=tc, filt=W)
+    for xi in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="detectability ratio"):
+            select_alpha(xi, 1 / (2 * 0.167), tc, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +333,31 @@ def test_auto_detect_fixed_level_is_detect_pipeline():
     assert [j.location for j in res.jumps_raw] == [j.location for j in again.jumps_raw]
     assert res.jumps_refined == again.jumps_refined
     assert res.threshold == again.threshold
+
+
+# levels and counts of the automatic level, recorded before select_alpha read
+# the ratio directly: (alpha_round1, alpha_round2, count) per seed 0..3
+_PINNED_LEVELS = {
+    "I:GS": [(0.001, 0.001, 1), (0.001, 0.001, 1), (0.001, 0.07, 1), (0.001, 0.001, 1)],
+    "II:PLS": [(0.001, 0.121, 2), (0.001, 0.012, 2), (0.001, 0.16, 2), (0.001, 0.149, 2)],
+    "II:ARMA": [
+        (0.001, 0.007, 2),
+        (0.001, 0.016, 2),
+        (0.001, 0.009000000000000001, 2),
+        (0.001, 0.060000000000000005, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_PINNED_LEVELS))
+def test_automatic_level_is_pinned(scenario):
+    from jumpscan.simulate import PlsScenario, gen_series
+
+    mean, noise = scenario.split(":")
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    got = []
+    for seed in range(4):
+        y, _ = gen_series(PlsScenario.make(mean, noise, n=500, seed=seed))
+        res, info = auto_detect(y, W, cfg=cfg, alpha="auto")
+        got.append((info["alpha_round1"], info.get("alpha_round2"), res.count))
+    assert got == _PINNED_LEVELS[scenario]
