@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .detect import _level
 from .field import MIN_N, ScaleConfig
 from .filters import builtin_wstar, load_filter
 from .simulate import DetectorSpec, PlsScenario, gen_series, monte_carlo
 from .threshold import critical_value, tail_constants
-from .tuning import _level, auto_detect, select_s_star
+from .tuning import auto_detect, select_s_star
 
 EXIT_BAD_INPUT = 2
 EXIT_BAD_CONFIG = 3

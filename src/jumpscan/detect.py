@@ -149,6 +149,19 @@ def _parse_threshold(mode: str):
     )
 
 
+def _level(alpha):
+    """``'auto'``, or ``alpha`` as a float in (0, 0.5); else ``ValueError``."""
+    if alpha == "auto":
+        return alpha
+    try:
+        level = float(alpha)
+    except (TypeError, ValueError):
+        level = math.nan
+    if not 0 < level < 0.5:
+        raise ValueError(f"alpha must be 'auto' or lie in (0, 0.5), got {alpha!r}")
+    return level
+
+
 def _resolve_threshold(mode: str, alpha, cfg, filt, n, seed, threads):
     """(threshold, finite-sample factor, mode kind) for ``cfg`` and length ``n``.
 
@@ -184,8 +197,14 @@ def detect_pipeline(
     z = ``cfg.s_lower`` (rule of thumb) and ``ALPHA_TILDE``.
     ``threads`` parallelizes the bootstrap null replicates and does not
     change the result.  ``tuning.auto_detect`` with ``cfg`` and a level
-    gives the same result and returns the field it built.
+    gives the same result and returns the field it built.  A malformed
+    ``threshold_mode`` or an ``alpha`` outside (0, 0.5) raises
+    ``ValueError`` before any transform; ``alpha='auto'`` is
+    ``tuning.auto_detect``'s.
     """
+    _parse_threshold(threshold_mode)
+    if _level(alpha) == "auto":
+        raise ValueError("alpha='auto' needs tuning.auto_detect; detect_pipeline takes a level")
     y = np.asarray(y, dtype=float)
     return _pass_on_field(y, multiscale_field(y, cfg, filt), alpha, threshold_mode, seed, threads)
 

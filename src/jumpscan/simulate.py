@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import _parse_threshold, _resolve_threshold
+from .detect import _level, _parse_threshold, _resolve_threshold
 from .field import MIN_N, ScaleConfig, _multiscale_fields
 from .threshold import tail_constants
-from .tuning import _cv_grid, _detect_on_field, _level, auto_detect
+from .tuning import _cv_grid, _detect_on_field, auto_detect
 from .util import rng_for
 
 __all__ = [

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .detect import _parse_threshold, _pass_on_field, _resolve_threshold, mjpd_detect
+from .detect import _level, _parse_threshold, _pass_on_field, _resolve_threshold, mjpd_detect
 from .convolve import _finite_series, filter_bank
 from .field import MultiscaleField, ScaleConfig, _xi_band, multiscale_field
 from .threshold import TailConstants, critical_value, tail_constants
@@ -50,34 +49,12 @@ _S_STAR_RADIUS = 2
 _SCALE_GRID_POINTS = 7
 _SCALE_RADIUS = 2
 
-# values ranked per block by the sliding median (8 MB of float64)
-_MEDIAN_BLOCK = 1 << 20
-
 
 def _norm_cdf(x) -> np.ndarray:
     """Standard normal cdf, 0.5 erfc(-x / sqrt 2), elementwise (``math.erfc`` over a list)."""
     z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
     erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size)
     return 0.5 * erfc.reshape(z.shape)
-
-
-def _sliding_median(x: np.ndarray, w: int) -> np.ndarray:
-    """Moving median over ``w`` points with edge values repeated.
-
-    The window at i spans i - w//2 .. i - w//2 + w - 1 and the rank taken is
-    w//2, so an even ``w`` gives the upper of the two middle values; this is
-    ``scipy.ndimage.median_filter(x, size=w, mode="nearest")`` exactly.
-    Windows are ranked in blocks of about ``_MEDIAN_BLOCK`` values, so
-    memory stays bounded whatever ``w``.
-    """
-    lo = w // 2
-    windows = sliding_window_view(np.pad(x, (lo, w - 1 - lo), mode="edge"), w)
-    out = np.empty(len(x))
-    block = max(1, _MEDIAN_BLOCK // w)
-    for start in range(0, len(x), block):
-        part = windows[start : start + block]
-        out[start : start + block] = np.partition(part, lo, axis=1)[:, lo]
-    return out
 
 
 @lru_cache(maxsize=128)
@@ -223,29 +200,12 @@ def select_alpha(xi_n: float, m: float, tc: TailConstants, correction: float) ->
 def sigma_sup_estimate(field_: MultiscaleField) -> float:
     """Largest local noise level implied by the denominator series.
 
-    Median-smooths Xi over a window of floor(n * s_star) points to damp
-    jump contamination, then returns max over valid t of sqrt(Xi / u11).
+    The plug-in supremum of the local long-run standard deviation, max over
+    valid t of sqrt(Xi(t) / u11).  Xi is already a moving average over
+    2 floor(n s_upper) + 1 points, so a jump leaves in it a bump about
+    4 n s_upper wide that no further smoothing on a shorter span would damp.
     """
-    n = field_.n
-    w = max(int(math.floor(n * field_.cfg.s_star)), 1)
-    smoothed = _sliding_median(field_.xi, w)
-    vals = smoothed[field_.valid]
-    if len(vals) == 0:
-        raise ValueError("no valid denominator entries")
-    return float(np.sqrt(np.max(vals) / field_.u11))
-
-
-def _level(alpha):
-    """``'auto'``, or ``alpha`` as a float in (0, 0.5); else ``ValueError``."""
-    if alpha == "auto":
-        return alpha
-    try:
-        level = float(alpha)
-    except (TypeError, ValueError):
-        level = math.nan
-    if not 0 < level < 0.5:
-        raise ValueError(f"alpha must be 'auto' or lie in (0, 0.5), got {alpha!r}")
-    return level
+    return float(np.sqrt(np.max(field_.xi[field_.valid]) / field_.u11))
 
 
 def auto_detect(
@@ -310,10 +270,9 @@ def _detect_on_field(y, field_, alpha, info, *, threshold_mode="analytic", seed=
     tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
     corr = _resolve_threshold(threshold_mode, 0.10, cfg, filt, n, seed, threads)[1]
     sigma = sigma_sup_estimate(field_)
-    if sigma <= 0:
-        raise ValueError("sigma_sup must be positive")
     # Round 1: the ratio of a rule-of-thumb jump of size s_upper at the
-    # noise level sigma, one of 1 / (2 s_upper) jumps.
+    # noise level sigma, one of 1 / (2 s_upper) jumps.  sigma is the largest
+    # sqrt(Xi / u11) over the valid core, positive because every valid Xi is.
     mom = filt.moments()
     xi_n = math.sqrt(n * cfg.s_upper) * cfg.s_upper * mom.f0 / (sigma * math.sqrt(mom.u11))
     a1 = select_alpha(xi_n, 1.0 / (2.0 * cfg.s_upper), tc, corr)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jumpscan import detect
 from jumpscan.detect import RawJump, _resolve_threshold, cusum_refine, detect_pipeline, mjpd_detect
 from jumpscan.field import MultiscaleField, ScaleConfig, multiscale_field
 from jumpscan.filters import builtin_wstar, construct_beta_filter
@@ -217,6 +218,24 @@ def test_malformed_threshold_mode_raises(mode):
         detect_pipeline(step_series(), CFG, W, threshold_mode=mode)
     with pytest.raises(ValueError, match="threshold mode"):
         _resolve_threshold(mode, 0.05, CFG, W, 500, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"alpha": "auto"}, "auto_detect"),
+        ({"alpha": 0.7}, "alpha must be"),
+        ({"threshold_mode": "bogus"}, "threshold mode"),
+    ],
+    ids=["auto", "level", "mode"],
+)
+def test_pipeline_checks_level_and_mode_before_any_transform(kwargs, match, monkeypatch):
+    def fail(*args, **kw):
+        raise AssertionError("built the field before checking the arguments")
+
+    monkeypatch.setattr(detect, "multiscale_field", fail)
+    with pytest.raises(ValueError, match=match):
+        detect_pipeline(step_series(), CFG, W, **kwargs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
