@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import MultiscaleField, ScaleConfig, multiscale_field
+from .convolve import _finite_series
+from .field import MultiscaleField, ScaleConfig, _multiscale_fields, _rows
 from .threshold import bootstrap_cv, critical_value, fs_correction, tail_constants
 
 __all__ = ["RawJump", "DetectionResult", "mjpd_detect", "cusum_refine", "detect_pipeline"]
@@ -58,26 +59,103 @@ class DetectionResult:
         return json.dumps(self.to_dict(), **kw)
 
 
+def _peaks(fields: MultiscaleField, thresholds) -> tuple:
+    """Greedy peaks of every row of the batch field ``fields`` above that row's threshold.
+
+    Rounds of a row-wise argmax: each round takes the largest admissible
+    point of every row, and masks its closed radius-s_upper neighborhood in
+    each row where it reaches the row's threshold; a row whose largest point
+    falls short is done.  Smaller index wins ties.  Returns (rows, indices),
+    ordered by row, then by location.
+    """
+    m, n = fields.g.shape
+    b = int(math.floor(n * fields.cfg.s_upper))
+    # the admissible values, with b columns of -inf either side so that no window is clipped
+    width = n + 2 * b
+    g = np.full((m, width), -np.inf)
+    np.copyto(g[:, b : n + b], fields.g, where=fields.valid)
+    flat = g.reshape(-1)
+    start = np.arange(0, m * width, width)
+    # -inf is not a peak, whatever the threshold
+    thresholds = np.maximum(thresholds, -np.finfo(float).max)
+    window = np.arange(-b, b + 1)
+    found = [start[:0]]
+    while True:
+        j = g.argmax(axis=1) + start
+        j = j[flat[j] >= thresholds]
+        if not j.size:
+            break
+        found.append(j)
+        flat[j[:, None] + window] = -np.inf
+    rows, idx = np.divmod(np.sort(np.concatenate(found)), width)
+    return rows, idx - b
+
+
+def _raw_jumps(fields: MultiscaleField, rows, idx) -> list:
+    """The peaks (rows, idx) of ``_peaks`` as one location-ordered RawJump list per row."""
+    jumps = [[] for _ in range(len(fields.g))]
+    for r, loc, g, scale in zip(
+        rows.tolist(),
+        ((idx + 1) / fields.n).tolist(),
+        fields.g[rows, idx].tolist(),
+        fields.grid[fields.arg[rows, idx]].tolist(),
+    ):
+        jumps[r].append(RawJump(location=loc, g_value=g, scale=scale))
+    return jumps
+
+
 def mjpd_detect(field_: MultiscaleField, threshold: float) -> list:
     """Iteratively pick peaks of the multiscale statistic above ``threshold``.
 
     Each accepted peak removes its closed radius-s_upper neighborhood from
     the admissible set; smaller index wins ties.  Returns jumps ordered by
-    location.
+    location.  The one-row case of the batched peak search.
     """
-    n = field_.n
-    b = int(math.floor(n * field_.cfg.s_upper))
-    g = np.where(field_.valid, field_.g, -np.inf)
-    out = []
-    while True:
-        j = int(np.argmax(g))
-        if not np.isfinite(g[j]) or g[j] < threshold:
-            break
-        out.append(
-            RawJump(location=(j + 1) / n, g_value=float(g[j]), scale=field_.scale_at_max(j))
+    batch = _rows(field_, np.newaxis)
+    return _raw_jumps(batch, *_peaks(batch, [threshold]))[0]
+
+
+def _refine(ymat, rows, locs, z: float) -> np.ndarray:
+    """Refined location of every raw location ``locs[p]`` of row ``rows[p]`` of ``ymat``.
+
+    One row-wise cumulative sum serves every (row, jump) window.  The
+    contrast is evaluated only where the search interval [d - z, d + z] may
+    reach, on ranges padded to the longest by repeating their last index.
+    See :func:`cusum_refine` for the rule.
+    """
+    if z <= 0:
+        raise ValueError("z must be positive")
+    d = np.array(locs, dtype=float)
+    if not d.size:
+        return d
+    m, n = ymat.shape
+    csum = np.zeros((m, n + 1))
+    np.cumsum(ymat, axis=1, out=csum[:, 1:])
+    reach = (2.0 + ALPHA_TILDE) * z
+    # the window [i0, i1]: indices with (i+1)/n inside [d - reach, d + reach];
+    # [lo, hi]: its indices that may lie in [d - z, d + z], one to spare either side
+    edges = (d[:, None] + [-reach, -z, z, reach]) * n
+    i0, lo = np.ceil(edges[:, :2].T).astype(int) - [[1], [2]]
+    hi, i1 = np.floor(edges[:, 2:].T).astype(int) - [[0], [1]]
+    i0, i1 = np.maximum(i0, 0), np.minimum(i1, n - 1)
+    total = i1 - i0 + 1
+    short = total < MIN_REFINE_OBS
+    for p in short.nonzero()[0]:
+        warnings.warn(
+            f"refinement window at {d[p]:.4f} has {total[p]} < {MIN_REFINE_OBS} points; keeping raw"
         )
-        g[max(0, j - b) : min(n, j + b + 1)] = -np.inf
-    return sorted(out, key=lambda r: r.location)
+    lo, hi = np.maximum(lo, i0)[:, None], np.minimum(hi, i1)[:, None]
+    ii = np.minimum(lo + np.arange(max((hi - lo).max() + 1, 1)), hi)
+    r, i0, i1, dk = rows[:, None], i0[:, None], i1[:, None], d[:, None]
+    c0 = csum[r, i0]
+    s_all = csum[r, i1 + 1] - c0
+    v = (csum[r, ii + 1] - c0) - (ii - i0 + 1.0) / np.maximum(total, 1)[:, None] * s_all
+    cand = (ii + 1.0) / n
+    av = np.where((cand >= dk - z - 1e-12) & (cand <= dk + z + 1e-12), np.abs(v), -np.inf)
+    top = av.max(axis=1, keepdims=True)
+    # ties: closest to d, then smaller index
+    pick = (np.arange(len(d)), np.where(av == top, np.abs(cand - dk), np.inf).argmin(axis=1))
+    return np.where((top[:, 0] > -np.inf) & ~short, cand[pick], d)
 
 
 def cusum_refine(y, raw: list, z: float) -> list:
@@ -90,43 +168,12 @@ def cusum_refine(y, raw: list, z: float) -> list:
     location is exact for steps switching on strictly after d (the
     convention of the bundled generators) and at most one grid point left
     of steps switching on at d.  Windows with fewer than MIN_REFINE_OBS
-    observations keep the raw location.
+    observations keep the raw location.  The one-row case of the batched
+    refinement.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    csum = np.concatenate([[0.0], np.cumsum(y)])
     locs = [r.location if isinstance(r, RawJump) else float(r) for r in raw]
-    refined = []
-    for d in locs:
-        lo_t = max(d - (2.0 + ALPHA_TILDE) * z, 0.0)
-        hi_t = min(d + (2.0 + ALPHA_TILDE) * z, 1.0)
-        # indices with (i+1)/n inside [lo_t, hi_t]
-        i0 = max(int(math.ceil(lo_t * n)) - 1, 0)
-        i1 = min(int(math.floor(hi_t * n)) - 1, n - 1)
-        total = i1 - i0 + 1
-        if total < MIN_REFINE_OBS:
-            warnings.warn(
-                f"refinement window at {d:.4f} has {total} < {MIN_REFINE_OBS} points; keeping raw"
-            )
-            refined.append(d)
-            continue
-        s_all = csum[i1 + 1] - csum[i0]
-        ii = np.arange(i0, i1 + 1)
-        lam = ii - i0 + 1.0
-        v = (csum[ii + 1] - csum[i0]) - lam / total * s_all
-        cand = (ii + 1.0) / n
-        in_search = (cand >= d - z - 1e-12) & (cand <= d + z + 1e-12)
-        if not np.any(in_search):
-            refined.append(d)
-            continue
-        av = np.where(in_search, np.abs(v), -np.inf)
-        top = np.flatnonzero(av == av.max())
-        # ties: closest to d, then smaller index
-        best = top[np.lexsort((ii[top], np.abs(cand[top] - d)))[0]]
-        refined.append(float(cand[best]))
-    return refined
+    y = np.asarray(y, dtype=float)[None, :]
+    return _refine(y, np.zeros(len(locs), dtype=int), locs, z).tolist()
 
 
 def _parse_threshold(mode: str):
@@ -179,6 +226,11 @@ def _resolve_threshold(mode: str, alpha, cfg, filt, n, seed, threads):
     return c * k, k, kind
 
 
+def _thresholds(levels: list, mode: str, cfg, filt, n, seed, threads) -> dict:
+    """``_resolve_threshold`` at each distinct level of ``levels``, keyed by level."""
+    return {a: _resolve_threshold(mode, a, cfg, filt, n, seed, threads) for a in set(levels)}
+
+
 def detect_pipeline(
     y,
     cfg: ScaleConfig,
@@ -205,33 +257,31 @@ def detect_pipeline(
     _parse_threshold(threshold_mode)
     if _level(alpha) == "auto":
         raise ValueError("alpha='auto' needs tuning.auto_detect; detect_pipeline takes a level")
-    y = np.asarray(y, dtype=float)
-    return _pass_on_field(y, multiscale_field(y, cfg, filt), alpha, threshold_mode, seed, threads)
+    ymat = _finite_series(y)[None, :]
+    fields = _multiscale_fields(ymat, cfg, filt)
+    return _pass_rows(ymat, fields, [alpha], threshold_mode, seed, threads)[0]
 
 
-def _pass_on_field(y, field_, alpha, threshold_mode, seed, threads) -> DetectionResult:
-    """Threshold, peaks and refinement of ``y`` on its field ``field_``.
+def _pass_rows(ymat, fields, levels: list, threshold_mode, seed, threads) -> list:
+    """Threshold, peaks and refinement of each row of ``ymat`` on the batch field ``fields``.
 
-    The configuration, filter and length are the field's own.
+    Row i is detected at ``levels[i]``, one threshold per distinct level.
+    The configuration, filter and length are the field's own.  Returns one
+    :class:`DetectionResult` per row.
     """
-    cfg, n = field_.cfg, field_.n
-    c, k, kind = _resolve_threshold(threshold_mode, alpha, cfg, field_.filt, n, seed, threads)
-    raw = mjpd_detect(field_, c)
-    refined = cusum_refine(y, raw, z=cfg.s_lower)
-    return DetectionResult(
-        jumps_raw=raw,
-        jumps_refined=refined,
-        threshold=float(c),
-        alpha=None if kind == "fixed" else float(alpha),
-        config={
-            "n": n,
-            "s_lower": cfg.s_lower,
-            "s_upper": cfg.s_upper,
-            "s_star": cfg.s_star,
-            "grid_eps": cfg.grid_eps,
-            "threshold_mode": threshold_mode,
-            "fs_factor": k,
-            "z": cfg.s_lower,
-            "alpha_tilde": ALPHA_TILDE,
-        },
-    )
+    cfg, n = fields.cfg, fields.n
+    thr = _thresholds(levels, threshold_mode, cfg, fields.filt, n, seed, threads)
+    rows, idx = _peaks(fields, [thr[a][0] for a in levels])
+    refined = _refine(ymat, rows, (idx + 1) / n, cfg.s_lower).tolist()
+    results = []
+    for alpha, raw in zip(levels, _raw_jumps(fields, rows, idx)):
+        c, k, kind = thr[alpha]
+        config = {"n": n, "s_lower": cfg.s_lower, "s_upper": cfg.s_upper, "s_star": cfg.s_star,
+                  "grid_eps": cfg.grid_eps, "threshold_mode": threshold_mode, "fs_factor": k,
+                  "z": cfg.s_lower, "alpha_tilde": ALPHA_TILDE}
+        results.append(DetectionResult(
+            jumps_raw=raw, jumps_refined=refined[: len(raw)], threshold=float(c),
+            alpha=None if kind == "fixed" else float(alpha), config=config,
+        ))
+        del refined[: len(raw)]
+    return results

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -183,7 +183,8 @@ class MultiscaleField:
 
     ``xi`` is the operational denominator series: the banded average of
     squared fine-scale responses, stabilized by a band-width moving average
-    across time (see ``_xi_smoothed``).  Every array has length n.
+    across time (see ``_xi_smoothed``).  Every array has length n, or shape
+    (m, n) in the batch of m series that ``_multiscale_fields`` builds.
     ``filt`` is the filter that built the field.
     """
 
@@ -198,7 +199,7 @@ class MultiscaleField:
 
     @property
     def n(self) -> int:
-        return len(self.g)
+        return self.g.shape[-1]
 
     @property
     def u11(self) -> float:
@@ -208,12 +209,19 @@ class MultiscaleField:
         n = self.n
         return (np.arange(n) + 1.0) / n
 
-    def scale_at_max(self, j: int) -> float:
-        return float(self.grid[self.arg[j]])
+
+def _rows(field_: MultiscaleField, key) -> MultiscaleField:
+    """``field_`` with ``key`` applied to every per-point array.
+
+    An integer takes one row of a batch; ``np.newaxis`` makes a one-row
+    field a batch of one.  Both are views.
+    """
+    arrays = ("hmax", "arg", "xi", "g", "valid")
+    return replace(field_, **{name: getattr(field_, name)[key] for name in arrays})
 
 
-def _multiscale_fields(ymat: np.ndarray, cfg: ScaleConfig, filt) -> list:
-    """The multiscale statistic of each row of the (m, n) ``ymat``, as one batch.
+def _multiscale_fields(ymat: np.ndarray, cfg: ScaleConfig, filt) -> MultiscaleField:
+    """The multiscale statistic of each row of the (m, n) ``ymat``, as one batch field.
 
     One ``_field_batch``, arg-max included, serves every row, so row i is
     bitwise the field of ``ymat[i]`` alone.  Raises ``ValueError`` as
@@ -227,11 +235,8 @@ def _multiscale_fields(ymat: np.ndarray, cfg: ScaleConfig, filt) -> list:
     if not valid.any(axis=1).all():
         raise ValueError("no valid point: the denominator is degenerate (constant series?)")
     g = _self_normalized(hmax, xi, valid, np.nan)
-    return [
-        MultiscaleField(grid=grid, hmax=hmax[i], arg=arg[i], xi=xi[i], g=g[i],
-                        valid=valid[i], cfg=cfg, filt=filt)
-        for i in range(m)
-    ]
+    return MultiscaleField(grid=grid, hmax=hmax, arg=arg, xi=xi, g=g, valid=valid, cfg=cfg,
+                           filt=filt)
 
 
 def multiscale_field(y, cfg: ScaleConfig, filt) -> MultiscaleField:
@@ -241,5 +246,4 @@ def multiscale_field(y, cfg: ScaleConfig, filt) -> MultiscaleField:
     when no point of the valid core has a non-degenerate denominator (a
     constant series, for one).
     """
-    (field_,) = _multiscale_fields(_finite_series(y)[None, :], cfg, filt)
-    return field_
+    return _rows(_multiscale_fields(_finite_series(y)[None, :], cfg, filt), 0)

@@ -17,7 +17,7 @@ innovations feed the expansion but their columns are never computed, and a
 noise with two regimes asks each regime's path for the columns on its own
 side of the break only.  The Monte-Carlo harness runs replicates in chunks,
 each one generator call and, with fixed scales, one batch of multiscale
-fields.
+fields and one post-field pass over all its rows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .detect import _level, _parse_threshold, _resolve_threshold
 from .field import MIN_N, ScaleConfig, _multiscale_fields
 from .threshold import tail_constants
-from .tuning import _cv_grid, _detect_on_field, auto_detect
+from .tuning import _cv_grid, _detect_rows, auto_detect
 from .util import rng_for
 
 __all__ = [
@@ -114,30 +114,33 @@ def _tv_arma(n, burn_in, phi, theta, kind, rngs, lo=0, hi=None):
     x_i = u_i + sum_j amp_j(i) u_{i-j}, where amp_j(i) = phi(t_i) ...
     phi(t_{i-j+1}) depends on t only: it is updated in place lag by lag and
     shared by every row, and the lag terms are added in lag order
-    (``_lag_sum``).  The lag sum is evaluated on the kept columns only,
-    never on the burn-in; the innovations, phi and the lag count are those
-    of the whole path, so a kept value does not depend on the range.
+    (``_lag_sum``).  Only what a kept column reads is formed: u and theta
+    from ``lag`` columns before the range on, amp and the lag sum on the
+    range itself.  The innovations, phi and the lag count are those of the
+    whole path, so a kept value does not depend on the range.
     """
     total = burn_in + n
     lo, hi = burn_in + lo, burn_in + (n if hi is None else hi)
     t = np.maximum(np.arange(-burn_in, n) + 1, 1) / n
     eta = _draws(kind, total + 1, rngs)
-    th = theta(t) if callable(theta) else np.full(total, float(theta))
     ph = phi(t) if callable(phi) else np.full(total, float(phi))
-    u = eta[:, 1:] + th * eta[:, :-1]
     pmax = float(np.max(np.abs(ph)))
     if pmax >= 0.999:
         raise ValueError("AR coefficient too close to 1")
-    if pmax == 0:
-        return u[:, lo:hi]
-    lag = min(total, int(math.ceil(math.log(1e-15) / math.log(max(pmax, 1e-6)))))
-    amp = np.ones(total)
+    lag = 0 if pmax == 0 else min(total, math.ceil(math.log(1e-15) / math.log(max(pmax, 1e-6))))
+    # u over the columns [s, hi) a kept column reads, indexed from s
+    s = max(lo - lag, 0)
+    th = theta(t[s:hi]) if callable(theta) else float(theta)
+    u = eta[:, s + 1 : hi + 1] + th * eta[:, s:hi]
+    amp = np.ones(hi - s)
 
     def coef(j):
-        amp[j - 1 :] *= ph[: total - j + 1]
+        a = max(lo, j - 1)
+        if a < hi:
+            amp[a - s :] *= ph[a - j + 1 : hi - j + 1]
         return amp
 
-    return _lag_sum(u, lag, coef, lo, hi)
+    return _lag_sum(u, lag, coef, lo - s, hi - s)
 
 
 def _tv_ma(n, burn_in, base, amp, kind, rngs):
@@ -447,10 +450,10 @@ def _mc_chunk(task):
     """A chunk of replicates as one batch; module-level so process pools can ship it.
 
     One ``_generate`` call makes every series of the chunk.  With fixed
-    scales one ``_multiscale_fields`` batch builds their fields, and level,
-    peaks and refinement then run per row on each field, as ``auto_detect``
-    runs them; with automatic scales each row runs the whole
-    ``auto_detect``.  Returns one (count, hit, mad_raw, mad_refined,
+    scales one ``_multiscale_fields`` batch builds their fields, and one
+    ``tuning._detect_rows`` pass settles the levels, peaks and refinements
+    of all rows together, as ``auto_detect`` does for one; with automatic
+    scales each row runs the whole ``auto_detect``.  Returns one (count, hit, mad_raw, mad_refined,
     detection s, generation s) row per replicate, the chunk's times shared
     evenly by its replicates.
     """
@@ -465,10 +468,9 @@ def _mc_chunk(task):
             for y in ymat
         ]
     else:
-        results = [
-            _detect_on_field(y, f, alpha, {}, threshold_mode=det.threshold_mode)
-            for y, f in zip(ymat, _multiscale_fields(ymat, det.cfg, filt))
-        ]
+        results, _ = _detect_rows(
+            ymat, _multiscale_fields(ymat, det.cfg, filt), alpha, threshold_mode=det.threshold_mode
+        )
     dt = (time.perf_counter() - t0) / len(reps)
     gen = (t0 - t_gen) / len(reps)
     rows = []

@@ -16,9 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detect import _level, _parse_threshold, _pass_on_field, _resolve_threshold, mjpd_detect
+from .detect import (
+    _level, _parse_threshold, _pass_rows, _peaks, _resolve_threshold, _thresholds, mjpd_detect,
+)
 from .convolve import _finite_series, filter_bank
-from .field import MultiscaleField, ScaleConfig, _xi_band, multiscale_field
+from .field import MultiscaleField, ScaleConfig, _rows, _xi_band, multiscale_field
 from .threshold import TailConstants, critical_value, tail_constants
 
 __all__ = [
@@ -33,6 +35,15 @@ __all__ = [
 
 
 _Q_GRID = np.arange(0.001, 0.301, 0.001)
+
+# Numerical Recipes' erfcc (Press et al., section 6.2): a Chebyshev fit
+# exp(-z^2 + poly(t)) t of erfc(z), z >= 0, t = 1 / (1 + z / 2), whose
+# fractional error is below _ERFCC_ERROR; poly's coefficients, constant first
+_ERFCC = (
+    -1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
+    0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277,
+)
+_ERFCC_ERROR = 1.2e-7
 
 # the scale sweep counts raw peaks above this level's analytic critical value
 _SWEEP_LEVEL = 0.05
@@ -55,6 +66,20 @@ def _norm_cdf(x) -> np.ndarray:
     z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
     erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size)
     return 0.5 * erfc.reshape(z.shape)
+
+
+def _norm_cdf_screen(x) -> np.ndarray:
+    """Standard normal cdf from ``_ERFCC``, within _ERFCC_ERROR * min(cdf, 1 - cdf) of it.
+
+    |x| is capped at 40, where both tails are 0 in double precision.
+    """
+    z = np.minimum(np.abs(x), 40.0) / math.sqrt(2.0)
+    t = 1.0 / (1.0 + 0.5 * z)
+    poly = _ERFCC[-1]
+    for c in _ERFCC[-2::-1]:
+        poly = c + t * poly
+    tail = 0.5 * t * np.exp(poly - z * z)  # 1 - cdf(|x|)
+    return np.where(x < 0, tail, 1.0 - tail)
 
 
 @lru_cache(maxsize=128)
@@ -177,35 +202,79 @@ def select_scales(y, filt) -> MvReport:
     return MvReport(candidates=pairs, scores=scores, chosen_index=order[0])
 
 
+def _screen(cvals, xi, m) -> tuple:
+    """The objective q + 1 - (1 - hit)^m of every row at thresholds ``cvals``, with ``_ERFCC``.
+
+    Row i holds the pair (xi[i], m[i]).  Returns the (rows, levels)
+    screened objective and, per row, a bound on its distance to the exact
+    one: the screen moves hit by at most _ERFCC_ERROR, and so the objective
+    by at most m times that, since the derivative of 1 - (1 - hit)^m is at
+    most m for m >= 1; the 1e-12 covers the rounding of both evaluations.
+    """
+    x, mm = xi[:, None], m[:, None].astype(float)
+    hit = _norm_cdf_screen(cvals - x) - _norm_cdf_screen(-cvals - x)
+    return _Q_GRID + (1.0 - (1.0 - np.clip(hit, 0.0, 1.0)) ** mm), mm * (_ERFCC_ERROR + 1e-12)
+
+
+def _select_levels(xi, m, tc: TailConstants, correction: float) -> np.ndarray:
+    """The level of :func:`select_alpha` for each pair (xi[i], m[i]), as an array.
+
+    Every grid level whose screened objective (``_screen``) is within twice
+    the screen's bound of the screened minimum is a candidate, so every
+    exact minimizer is one.  The candidates alone are re-evaluated with
+    ``math.erfc`` in the exhaustive search's arithmetic, and the first
+    exact minimizer wins, as an argmin over all levels would pick it.
+    """
+    xi = np.asarray(xi, dtype=float)
+    m = np.asarray(m)
+    ok = (0 <= xi) & (xi < math.inf)
+    if not ok.all():
+        raise ValueError(f"detectability ratio must be finite and non-negative, got {xi[~ok]}")
+    if not np.all(m >= 1):
+        raise ValueError(f"need at least one jump, got m = {m[~(m >= 1)]}")
+    cvals = _cv_grid(tc) * correction
+    screened, bound = _screen(cvals, xi, m)
+    rows, cols = np.nonzero(screened <= screened.min(axis=1, keepdims=True) + 2.0 * bound)
+    c, x = cvals[cols], xi[rows]
+    # both tails of hit in one call: P(Z < c - xi) - P(Z < -c - xi)
+    tails = _norm_cdf(np.concatenate([c - x, -c - x]))
+    hit = tails[: len(c)] - tails[len(c) :]
+    delta = np.empty(len(c))
+    for mv in set(m[rows].tolist()):
+        # the exponent as the Python number the exhaustive search raised to
+        sel = m[rows] == mv
+        delta[sel] = _Q_GRID[cols[sel]] + (1.0 - (1.0 - hit[sel]) ** mv)
+    order = np.lexsort((cols, delta, rows))
+    first = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    return _Q_GRID[cols[order][first]]
+
+
 def select_alpha(xi_n: float, m: float, tc: TailConstants, correction: float) -> float:
     """Detection level minimizing a mis-identification bound.
 
     Balances the false-alarm level q against the chance of missing one of
     ``m`` jumps whose detectability ratio (jump size over local noise, in
-    units of the statistic) is ``xi_n``.  ``correction`` scales the
-    thresholds the same way detection does.  A non-finite or negative
-    ``xi_n`` raises ``ValueError``.
+    units of the statistic) is ``xi_n``; the level is the first grid
+    minimizer of q + 1 - (1 - hit(q))^m, exactly (``_select_levels``).
+    ``correction`` scales the thresholds the same way detection does.  A
+    non-finite or negative ``xi_n``, or ``m`` below 1, raises
+    ``ValueError``.
     """
-    if not 0 <= xi_n < math.inf:
-        raise ValueError(f"detectability ratio must be finite and non-negative, got {xi_n!r}")
-    cvals = _cv_grid(tc) * correction
-    # both tails of hit in one call: P(Z < c - xi_n) - P(Z < -c - xi_n)
-    tails = _norm_cdf(np.concatenate([cvals - xi_n, -cvals - xi_n]))
-    hit = tails[: len(cvals)] - tails[len(cvals) :]
-    miss = 1.0 - (1.0 - hit) ** m
-    delta = _Q_GRID + miss
-    return float(_Q_GRID[int(np.argmin(delta))])
+    return float(_select_levels([xi_n], [m], tc, correction)[0])
 
 
-def sigma_sup_estimate(field_: MultiscaleField) -> float:
+def sigma_sup_estimate(field_: MultiscaleField):
     """Largest local noise level implied by the denominator series.
 
     The plug-in supremum of the local long-run standard deviation, max over
     valid t of sqrt(Xi(t) / u11).  Xi is already a moving average over
     2 floor(n s_upper) + 1 points, so a jump leaves in it a bump about
     4 n s_upper wide that no further smoothing on a shorter span would damp.
+    A float, or one value per row of a batch field.
     """
-    return float(np.sqrt(np.max(field_.xi[field_.valid]) / field_.u11))
+    top = np.max(field_.xi, axis=-1, where=field_.valid, initial=-np.inf)
+    sigma = np.sqrt(top / field_.u11)
+    return sigma if sigma.ndim else float(sigma)
 
 
 def auto_detect(
@@ -247,37 +316,40 @@ def auto_detect(
     info["config"] = cfg
     field_ = multiscale_field(y, cfg, filt)
     info["field"] = field_
-    res = _detect_on_field(
-        y, field_, alpha, info, threshold_mode=threshold_mode, seed=seed, threads=threads
+    (res,), (levels,) = _detect_rows(
+        y[None, :], _rows(field_, np.newaxis), alpha,
+        threshold_mode=threshold_mode, seed=seed, threads=threads,
     )
+    info.update(levels)
     return res, info
 
 
-def _detect_on_field(y, field_, alpha, info, *, threshold_mode="analytic", seed=0, threads=1):
-    """What :func:`auto_detect` does once the field of ``y`` is built.
+def _detect_rows(ymat, fields, alpha, *, threshold_mode="analytic", seed=0, threads=1):
+    """What :func:`auto_detect` does once the fields are built, for every row at once.
 
-    ``alpha`` is ``'auto'`` or a level already checked by ``_level``; the
-    keywords and their defaults are those of :func:`auto_detect`.  With
-    ``'auto'`` the level is settled from the field (``select_alpha``, then
-    the probe); the level choices go into ``info``, and one detection pass
-    runs on ``field_``, whose configuration, filter and length are used.
+    ``fields`` is the batch field of the (m, n) ``ymat``; ``alpha`` is
+    ``'auto'`` or a level already checked by ``_level``, and the keywords
+    and their defaults are those of :func:`auto_detect`.  With ``'auto'``
+    each row's level is settled from its field (``select_alpha``'s search,
+    then the probe), all rows together.  Returns one detection result and
+    one dict of level choices per row.
     """
-    cfg, filt, n = field_.cfg, field_.filt, field_.n
+    cfg, filt, n = fields.cfg, fields.filt, fields.n
+    m = len(ymat)
     if alpha != "auto":
-        info["alpha"] = alpha
-        return _pass_on_field(y, field_, alpha, threshold_mode, seed, threads)
+        return _pass_rows(ymat, fields, [alpha] * m, threshold_mode, seed, threads), [
+            {"alpha": alpha} for _ in range(m)
+        ]
 
     tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
     corr = _resolve_threshold(threshold_mode, 0.10, cfg, filt, n, seed, threads)[1]
-    sigma = sigma_sup_estimate(field_)
+    sigma = sigma_sup_estimate(fields)
     # Round 1: the ratio of a rule-of-thumb jump of size s_upper at the
     # noise level sigma, one of 1 / (2 s_upper) jumps.  sigma is the largest
     # sqrt(Xi / u11) over the valid core, positive because every valid Xi is.
     mom = filt.moments()
     xi_n = math.sqrt(n * cfg.s_upper) * cfg.s_upper * mom.f0 / (sigma * math.sqrt(mom.u11))
-    a1 = select_alpha(xi_n, 1.0 / (2.0 * cfg.s_upper), tc, corr)
-    info["alpha_round1"] = a1
-    level = a1
+    a1 = _select_levels(xi_n, np.full(m, 1.0 / (2.0 * cfg.s_upper)), tc, corr)
     # Round 2.  The rule-of-thumb ratio is pessimistic, so the first level
     # is usually the grid minimum.  A moderate-level probe always runs to
     # enumerate candidate jumps (the strict pass may see only the
@@ -287,8 +359,9 @@ def _detect_on_field(y, field_, alpha, info, *, threshold_mode="analytic", seed=
     # which drives the selected level back to the grid minimum, so a
     # spurious probe hit cannot survive to the final pass.  The probe needs
     # only the raw peaks.
-    c, _, _ = _resolve_threshold(threshold_mode, max(0.10, a1), cfg, filt, n, seed, threads)
-    probe = mjpd_detect(field_, c)
+    probe_levels = np.maximum(0.10, a1).tolist()
+    thr = _thresholds(probe_levels, threshold_mode, cfg, filt, n, seed, threads)
+    rows, idx = _peaks(fields, [thr[a][0] for a in probe_levels])
     # Candidates barely above the probe threshold are as likely noise
     # exceedances as jumps; letting them set the ratio would push the level
     # to the grid ceiling.  A candidate informs the final level if it would
@@ -296,17 +369,23 @@ def _detect_on_field(y, field_, alpha, info, *, threshold_mode="analytic", seed=
     # scale grid: genuine jumps are maximized at the widest scales (the
     # response grows with the window), while noise exceedances scatter
     # across the grid.
+    peak, scale = fields.g[rows, idx], fields.grid[fields.arg[rows, idx]]
     bar = critical_value(_CANDIDATE_BAR_LEVEL, tc) * corr
-    strong = [
-        j
-        for j in probe
-        if j.g_value >= bar or j.scale >= _TOP_SCALE_FRACTION * cfg.s_upper
-    ]
-    if strong:
-        level = select_alpha(min(j.g_value for j in strong), len(strong), tc, corr)
-        info["alpha_round2"] = level
-    # the level is settled: one full pass, refinement included
-    res = _pass_on_field(y, field_, level, threshold_mode, seed, threads)
-    info["alpha"] = res.alpha
-    info["sigma_sup"] = sigma
-    return res
+    strong = (peak >= bar) | (scale >= _TOP_SCALE_FRACTION * cfg.s_upper)
+    count = np.bincount(rows[strong], minlength=m)
+    weakest = np.full(m, np.inf)
+    np.minimum.at(weakest, rows[strong], peak[strong])
+    has = count > 0
+    levels = a1.copy()
+    levels[has] = _select_levels(weakest[has], count[has], tc, corr)
+    # the levels are settled: one full pass, refinement included
+    results = _pass_rows(ymat, fields, levels.tolist(), threshold_mode, seed, threads)
+    infos = []
+    for i, res in enumerate(results):
+        info = {"alpha_round1": float(a1[i])}
+        if has[i]:
+            info["alpha_round2"] = float(levels[i])
+        info["alpha"] = res.alpha
+        info["sigma_sup"] = float(sigma[i])
+        infos.append(info)
+    return results, infos

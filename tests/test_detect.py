@@ -1,12 +1,13 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from jumpscan import detect
 from jumpscan.detect import RawJump, _resolve_threshold, cusum_refine, detect_pipeline, mjpd_detect
-from jumpscan.field import MultiscaleField, ScaleConfig, multiscale_field
+from jumpscan.field import MultiscaleField, ScaleConfig, _multiscale_fields, _rows, multiscale_field
 from jumpscan.filters import builtin_wstar, construct_beta_filter
 from jumpscan.threshold import fs_correction
 from jumpscan.tuning import auto_detect, select_s_star, select_scales
@@ -130,6 +131,133 @@ def test_cusum_rejects_bad_z():
 
 
 # ---------------------------------------------------------------------------
+# batched peaks and refinement against the one-row loops they replaced
+# ---------------------------------------------------------------------------
+
+def _greedy_loop(field_, threshold):
+    """Peak indices of the one-row greedy loop: argmax, then mask its radius-s_upper window."""
+    n = field_.n
+    b = int(math.floor(n * field_.cfg.s_upper))
+    g = np.where(field_.valid, field_.g, -np.inf)
+    out = []
+    while True:
+        j = int(np.argmax(g))
+        if not np.isfinite(g[j]) or g[j] < threshold:
+            break
+        out.append(j)
+        g[max(0, j - b) : min(n, j + b + 1)] = -np.inf
+    return sorted(out)
+
+
+def _refine_loop(y, locs, z):
+    """The per-jump CUSUM refinement loop, with its warnings."""
+    n = len(y)
+    csum = np.concatenate([[0.0], np.cumsum(y)])
+    refined = []
+    for d in locs:
+        lo_t = max(d - (2.0 + detect.ALPHA_TILDE) * z, 0.0)
+        hi_t = min(d + (2.0 + detect.ALPHA_TILDE) * z, 1.0)
+        i0 = max(int(math.ceil(lo_t * n)) - 1, 0)
+        i1 = min(int(math.floor(hi_t * n)) - 1, n - 1)
+        total = i1 - i0 + 1
+        if total < detect.MIN_REFINE_OBS:
+            warnings.warn(
+                f"refinement window at {d:.4f} has {total} < {detect.MIN_REFINE_OBS} points; "
+                "keeping raw"
+            )
+            refined.append(d)
+            continue
+        ii = np.arange(i0, i1 + 1)
+        v = (csum[ii + 1] - csum[i0]) - (ii - i0 + 1.0) / total * (csum[i1 + 1] - csum[i0])
+        cand = (ii + 1.0) / n
+        in_search = (cand >= d - z - 1e-12) & (cand <= d + z + 1e-12)
+        if not np.any(in_search):
+            refined.append(d)
+            continue
+        av = np.where(in_search, np.abs(v), -np.inf)
+        top = np.flatnonzero(av == av.max())
+        best = top[np.lexsort((ii[top], np.abs(cand[top] - d)))[0]]
+        refined.append(float(cand[best]))
+    return refined
+
+
+def test_batched_peaks_match_the_greedy_loop():
+    rng = np.random.default_rng(11)
+    t = (np.arange(500) + 1) / 500
+    ymat = np.vstack([
+        rng.standard_normal(500),
+        3.0 * (t > 0.3) - 3.0 * (t > 0.6) + rng.standard_normal(500),
+        2.0 * (t > 0.5) + 0.5 * rng.standard_normal(500),
+    ])
+    batch = _multiscale_fields(ymat, CFG, W)
+    # plateaus: ties go to the smaller index, in every row at once
+    ties = replace(batch, g=np.where(batch.valid, np.round(batch.g), np.nan))
+    for fields in (batch, ties):
+        for thresholds in ([2.0, 2.0, 2.0], [3.5, 1.0, 5.0], [np.inf, 0.0, -np.inf]):
+            rows, idx = detect._peaks(fields, thresholds)
+            for i, thr in enumerate(thresholds):
+                want = _greedy_loop(_rows(fields, i), thr)
+                assert idx[rows == i].tolist() == want
+                assert [round(j.location * 500) - 1 for j in mjpd_detect(_rows(fields, i), thr)] == want
+
+
+def test_batched_refinement_matches_the_per_jump_loop():
+    rng = np.random.default_rng(12)
+    n = 300
+    t = (np.arange(n) + 1) / n
+    ymat = np.vstack([
+        rng.standard_normal(n),
+        np.round(2.0 * rng.standard_normal(n)),  # integer steps: ties in |CUSUM|
+        np.zeros(n),  # every contrast 0: the closest candidate wins
+        4.0 * (t > 0.4) + rng.standard_normal(n),
+    ])
+    locs = [0.001, 0.02, 0.2, 0.4, 0.4 + 1e-13, 0.5, 0.77, 0.99, 1.0]
+    for z in (0.0005, 0.004, 0.03, 0.2):
+        rows = np.repeat(np.arange(len(ymat)), len(locs))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            batched = detect._refine(ymat, rows, np.tile(locs, len(ymat)), z)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            loops = [_refine_loop(y, locs, z) for y in ymat]
+        assert batched.tolist() == [d for row in loops for d in row], z
+        assert [str(w.message) for w in got] == [str(w.message) for w in want], z
+
+
+def test_batched_pass_matches_one_row_and_warns():
+    # three synthetic rows at n = 100 (z = s_lower = 0.04 / 3): a peak at
+    # t = 0.02 whose refinement window holds 6 < MIN_REFINE_OBS points, two
+    # interior peaks, and none
+    n = 100
+    g = np.zeros((3, n))
+    g[0, 1] = 5.0
+    g[1, 30], g[1, 60] = 4.0, 6.0
+    row = synthetic_field(g[1], s_upper=0.04)
+    valid = np.tile(row.valid, (3, 1))
+    valid[0, :4] = True
+    batch = replace(
+        row, hmax=g, arg=np.zeros((3, n), dtype=np.int16), xi=np.ones((3, n)),
+        g=np.where(valid, g, np.nan), valid=valid,
+    )
+    t = (np.arange(n) + 1) / n
+    rng = np.random.default_rng(13)
+    ymat = np.vstack([3.0 * (t > 0.02), 2.0 * (t > 0.3) - 2.0 * (t > 0.6), np.zeros(n)])
+    ymat += 0.1 * rng.standard_normal((3, n))
+    with pytest.warns(UserWarning, match="window at 0.0200 has 6 < 8"):
+        results = detect._pass_rows(ymat, batch, [0.05, 0.05, 0.05], "fixed:3.0", 0, 1)
+    z = row.cfg.s_lower
+    with pytest.warns(UserWarning, match="window at 0.0200"):
+        want = [mjpd_detect(_rows(batch, i), 3.0) for i in range(3)]
+        refined = [cusum_refine(y, raw, z) for y, raw in zip(ymat, want)]
+    assert [r.count for r in results] == [1, 2, 0]
+    for res, raw, ref in zip(results, want, refined):
+        assert res.jumps_raw == raw and res.jumps_refined == ref
+        assert res.threshold == 3.0 and res.alpha is None
+    assert results[0].jumps_refined == [0.02]
+    assert results[1].jumps_refined == [0.3, 0.6]
+
+
+# ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
 
@@ -233,7 +361,7 @@ def test_pipeline_checks_level_and_mode_before_any_transform(kwargs, match, monk
     def fail(*args, **kw):
         raise AssertionError("built the field before checking the arguments")
 
-    monkeypatch.setattr(detect, "multiscale_field", fail)
+    monkeypatch.setattr(detect, "_multiscale_fields", fail)
     with pytest.raises(ValueError, match=match):
         detect_pipeline(step_series(), CFG, W, **kwargs)
 

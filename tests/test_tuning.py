@@ -8,7 +8,8 @@ import pytest
 
 from jumpscan import detect, tuning
 from jumpscan.detect import detect_pipeline
-from jumpscan.field import MIN_N, ScaleConfig, multiscale_field
+from jumpscan.cli import LADDER
+from jumpscan.field import MIN_N, ScaleConfig, _multiscale_fields, multiscale_field
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import critical_value, tail_constants
 from jumpscan.tuning import (
@@ -114,6 +115,16 @@ def test_norm_cdf_matches_ndtr():
     assert _norm_cdf(0.0) == 0.5
 
 
+def test_norm_cdf_screen_within_its_error_bound():
+    from scipy.special import ndtr
+
+    x = np.concatenate([np.linspace(-60.0, 60.0, 240_001), [-1e300, 1e300]])
+    exact = ndtr(x)
+    err = np.abs(tuning._norm_cdf_screen(x) - exact)
+    # the fit's fractional error, plus one unit in the last place of 1 for the rounding
+    assert np.all(err <= tuning._ERFCC_ERROR * np.minimum(exact, 1.0 - exact) + 2.0 ** -52)
+
+
 # ---------------------------------------------------------------------------
 # alpha selection
 # ---------------------------------------------------------------------------
@@ -149,6 +160,70 @@ def test_select_alpha_zero_signal_in_range():
     tc = tail_constants(W, 0.061, 0.167)
     a = select_alpha(0.0, 1 / (2 * 0.167), tc, 1.0)
     assert 0.001 <= a <= 0.300
+
+
+def _exhaustive_alpha(xi_n, m, tc, correction):
+    """The 300-level search the screened one replaced: (level, objective at every level)."""
+    cvals = tuning._cv_grid(tc) * correction
+    # both tails of hit in one call: P(Z < c - xi_n) - P(Z < -c - xi_n)
+    tails = _norm_cdf(np.concatenate([cvals - xi_n, -cvals - xi_n]))
+    hit = tails[: len(cvals)] - tails[len(cvals) :]
+    miss = 1.0 - (1.0 - hit) ** m
+    delta = tuning._Q_GRID + miss
+    return float(tuning._Q_GRID[int(np.argmin(delta))]), delta
+
+
+@pytest.mark.parametrize("row", LADDER, ids=[str(r[0]) for r in LADDER])
+def test_screened_level_search_is_the_exhaustive_one(row):
+    _, s_lower, s_upper = row
+    tc = tail_constants(W, s_lower, s_upper)
+    cv = tuning._cv_grid(tc)
+    saturated = 0
+    for factor in (1.0, 1.05, 1.1):
+        # ratios at 0 and 1e-9 (every level misses one of 8 jumps for sure), around
+        # the smallest, middle and largest critical value, and at 50 (no level misses)
+        near = factor * cv[[0, 149, 299], None] + np.array([-1.0, -1e-3, 0.0, 1e-3, 1.0])
+        xis = np.concatenate([[0.0, 1e-9, 50.0], near.ravel()])
+        for m in (1, 2, 1 / (2 * s_upper), 8):
+            ms = np.full(len(xis), m)
+            got = tuning._select_levels(xis, ms, tc, factor)
+            screened, bound = tuning._screen(cv * factor, xis, ms)
+            for i, xi in enumerate(xis):
+                want, delta = _exhaustive_alpha(float(xi), m, tc, factor)
+                assert got[i] == want, (xi, m, factor)
+                assert np.max(np.abs(screened[i] - delta)) <= bound[i, 0], (xi, m, factor)
+                saturated += bool(np.all(delta == tuning._Q_GRID + 1.0))
+                saturated += bool(np.all(delta == tuning._Q_GRID))
+            assert select_alpha(float(xis[5]), m, tc, factor) == got[5]
+    # the cases decided by the grid order alone are in the sweep
+    assert saturated >= 3 * (2 + 4)
+
+
+# ratios where the screened objective's own argmin is not the exhaustive level,
+# so the re-evaluation decides: (LADDER n, m, correction, ratio)
+_NEAR_TIES = [
+    (500, 1, 1.0, 4.5326), (500, 2, 1.0, 3.468), (500, 8, 1.0, 4.2648),
+    (1000, 4.0, 1.0, 4.3122), (1000, 8, 1.0, 4.4228),
+]
+
+
+def test_screened_level_search_settles_near_ties_exactly():
+    rows = {n: (sl, su) for n, sl, su in LADDER}
+    flipped = 0
+    for n, m, factor, xi in _NEAR_TIES:
+        tc = tail_constants(W, *rows[n])
+        want, _ = _exhaustive_alpha(xi, m, tc, factor)
+        assert select_alpha(xi, m, tc, factor) == want, (n, m, factor, xi)
+        screened, _ = tuning._screen(tuning._cv_grid(tc) * factor, np.array([xi]), np.array([m]))
+        flipped += tuning._Q_GRID[np.argmin(screened[0])] != want
+    assert flipped >= 3
+
+
+def test_select_alpha_needs_one_jump():
+    tc = tail_constants(W, 0.061, 0.167)
+    for m in (0.999, 0, -2, math.nan):
+        with pytest.raises(ValueError, match="at least one jump"):
+            select_alpha(3.0, m, tc, 1.0)
 
 
 def test_select_alpha_rejects_nonfinite_signal():
@@ -252,16 +327,46 @@ def test_auto_detect_full_auto_scales():
 
 @pytest.mark.parametrize("cfg", [ScaleConfig(0.061, 0.167, 0.03), None], ids=["fixed", "auto"])
 def test_auto_detect_refines_once(cfg, monkeypatch):
+    # the probe takes raw peaks only: one refinement, the final pass's
     calls = []
-    refine = detect.cusum_refine
+    refine = detect._refine
 
     def counting(*args, **kwargs):
         calls.append(1)
         return refine(*args, **kwargs)
 
-    monkeypatch.setattr(detect, "cusum_refine", counting)
+    monkeypatch.setattr(detect, "_refine", counting)
     auto_detect(step_series(600, 4.0, seed=31), W, cfg=cfg, alpha="auto")
     assert len(calls) == 1
+
+
+# one Monte-Carlo-like chunk: no jump and no probe peak, a probe peak but no
+# strong candidate (no round 2), one jump, three jumps, and two Model II rows
+# whose final levels differ
+_CHUNK = [("zero", "GS", 0), ("zero", "ARMA", 6), ("I", "GS", 0), ("InP", "GS", 0),
+          ("II", "PLS", 0), ("II", "PLS", 1)]
+
+
+def test_batched_pass_matches_one_row_detection():
+    from jumpscan.simulate import PlsScenario, gen_series
+
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    scenarios = [PlsScenario.make(mean, noise, n=500, seed=seed) for mean, noise, seed in _CHUNK]
+    ymat = np.vstack([gen_series(sc)[0] for sc in scenarios])
+    results, infos = tuning._detect_rows(ymat, _multiscale_fields(ymat, cfg, W), "auto")
+    for y, res, info in zip(ymat, results, infos):
+        one, one_info = auto_detect(y, W, cfg=cfg, alpha="auto")
+        assert res.to_dict() == one.to_dict()
+        assert res.to_dict() == detect_pipeline(y, cfg, W, alpha=info["alpha"]).to_dict()
+        assert one_info == {"config": cfg, "field": one_info["field"], **info}
+    assert [r.count for r in results] == [0, 0, 1, 3, 2, 2]
+    assert len({info["alpha"] for info in infos}) == 4
+    probe_level = max(0.10, infos[1]["alpha_round1"])
+    probe = detect.mjpd_detect(
+        multiscale_field(ymat[1], cfg, W),
+        detect._resolve_threshold("analytic", probe_level, cfg, W, 500, 0, 1)[0],
+    )
+    assert probe and "alpha_round2" not in infos[1]
 
 
 @pytest.mark.parametrize(
