@@ -23,6 +23,8 @@ fields and one post-field pass over all its rows.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass
 
@@ -447,7 +449,7 @@ def _chunks(R: int, workers: int, row_values: int) -> list:
 
 
 def _mc_chunk(task):
-    """A chunk of replicates as one batch; module-level so process pools can ship it.
+    """A chunk of replicates as one batch.
 
     One ``_generate`` call makes every series of the chunk.  With fixed
     scales one ``_multiscale_fields`` batch builds their fields, and one
@@ -485,25 +487,67 @@ def _mc_chunk(task):
 
 
 def _pool_chunks(tasks, workers):
-    """Chunks on ``workers`` forked processes; None if no worker can start.
+    """Chunks on ``workers`` forked children, in order; None if none can be forked.
 
-    Only a failure to start the pool falls back to the serial loop: an
-    error inside a chunk propagates, as it does serially.
+    The chunks are split into ``workers`` contiguous shares, and each share
+    runs in a child forked for this call, which pickles ``("ok", chunks)``
+    or ``("error", exc)`` into its own pipe and leaves through ``os._exit``.
+    The calling process runs no chunk: it reads the pipes to end of file in
+    share order.  A child's exception is re-raised unchanged, and a child
+    that closes its pipe without a result raises ``RuntimeError``; neither
+    reruns anything serially.  Only a platform without ``os.fork``, or a
+    fork that raises ``OSError``, returns None, after killing the children
+    already started.  Every child is reaped before this returns or raises;
+    on any error path it is first sent SIGKILL.
     """
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # no fork on this platform
+    if not hasattr(os, "fork"):
         return None
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        try:
-            # submits every chunk, which starts the workers
-            chunks = pool.map(_mc_chunk, tasks)
-        except OSError:  # the workers could not be forked
-            return None
-        return list(chunks)
+    children = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for i in range(workers):
+            share = tasks[len(tasks) * i // workers : len(tasks) * (i + 1) // workers]
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                return None
+            if pid == 0:
+                try:
+                    try:
+                        out = ("ok", [_mc_chunk(t) for t in share])
+                    except Exception as exc:
+                        out = ("error", exc)
+                    data = pickle.dumps(out)
+                    with open(w, "wb") as f:
+                        f.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        chunks = []
+        for pid, r in children:
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            if not data:
+                raise RuntimeError(f"Monte-Carlo worker {pid} exited without a result")
+            status, value = pickle.loads(data)
+            if status == "error":
+                raise value
+            chunks.extend(value)
+        done = True
+        return chunks
+    finally:
+        if not done:
+            import signal  # only an error path needs it
+
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
 
 
 def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0, threads: int = 1):
@@ -519,8 +563,13 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     none of more than ``_CHUNK_VALUES`` series values; each chunk generates
     its series in one batch and, with fixed scales, builds their fields in
     one batch (``_mc_chunk``).  With ``threads`` > 1 the chunks run in
-    forked worker processes (the replicate loop is small-array bound, which
-    starves thread pools).  ``mean_runtime`` and ``mean_gen_runtime`` are
+    ``min(threads, R)`` child processes forked for this call, each on a
+    contiguous share of the chunks, while the calling process only waits
+    (the replicate loop is small-array bound, which starves thread pools);
+    without ``os.fork`` they run serially.  An error in a replicate is
+    raised here unchanged and a worker that dies without a result raises
+    ``RuntimeError``; neither is rerun serially, and no worker outlives the
+    call.  ``mean_runtime`` and ``mean_gen_runtime`` are
     the mean detection and generation times per replicate: each chunk's
     times shared evenly by its replicates.  A malformed threshold mode or
     level raises ``ValueError`` before any calibration or worker starts.

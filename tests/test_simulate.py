@@ -1,5 +1,8 @@
+import contextlib
 import math
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -298,12 +301,15 @@ def _assert_same_replicates(m1, m2):
     np.testing.assert_array_equal(m1["mad_refined_all"], m2["mad_refined_all"])
 
 
-def test_monte_carlo_metrics_and_determinism():
+def test_monte_carlo_metrics_and_determinism(monkeypatch):
     cfg = ScaleConfig(0.061, 0.167, 0.03)
     det = DetectorSpec(cfg=cfg, alpha=0.05)
     sc = PlsScenario.make("I", "GS", n=500)
     # R = 50 on 1, 2 and 3 workers: one chunk, two even ones, three uneven ones
     m1, *rest = [monte_carlo(sc, det, R=50, seed=9, threads=k) for k in (1, 2, 3)]
+    # and six chunks of 8-9 replicates, two to each of 3 workers
+    monkeypatch.setattr(simulate, "_CHUNK_VALUES", 10_000)
+    rest.append(monte_carlo(sc, det, R=50, seed=9, threads=3))
     for m2 in rest:
         _assert_same_replicates(m1, m2)
     assert m1["hit_rate"] >= 0.9
@@ -363,26 +369,6 @@ def test_monte_carlo_replicate_error_not_rerun_serially(monkeypatch):
     assert _CALLER_PIDS.count(os.getpid()) == 0
 
 
-class _SerialPool:
-    """Stand-in for ProcessPoolExecutor: records the pool and tasks asked for, starts no process."""
-
-    asked = []
-
-    def __init__(self, max_workers, mp_context):
-        self.asked.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        self.asked.append([len(task[-1]) for task in tasks])
-        return map(fn, tasks)
-
-
 def _never(*args, **kwargs):
     raise AssertionError("reached after a bad argument")
 
@@ -402,16 +388,95 @@ def test_monte_carlo_rejects_bad_arguments_before_any_work(monkeypatch, cfg, bad
 
 
 def test_monte_carlo_pool_capped_at_replicates(monkeypatch):
-    import concurrent.futures
+    asked = []
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    _SerialPool.asked.clear()
+    def serial_pool(tasks, workers):
+        # records the workers and the replicates per chunk asked for, starts no process
+        asked.append((workers, [len(task[-1]) for task in tasks]))
+        return [_mc_chunk(task) for task in tasks]
+
+    monkeypatch.setattr(simulate, "_pool_chunks", serial_pool)
     det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05, threshold_mode="fixed:4.0")
     sc = PlsScenario.make("I", "GS", n=500)
     m = monte_carlo(sc, det, R=50, seed=1, threads=500)
-    # max_workers, then the replicates per chunk: one chunk per worker
-    assert _SerialPool.asked == [50, [1] * 50]
+    # 50 workers, one chunk of one replicate each
+    assert asked == [(50, [1] * 50)]
     assert m["counts"] == monte_carlo(sc, det, R=50, seed=1)["counts"]
+
+
+def _record_forks(monkeypatch):
+    """Pids of the children forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    # a blocked read in the caller fails the test instead of hanging it
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("s_star, threads", [(0.03, 3), (0.003, 2)], ids=["returns", "raises"])
+def test_monte_carlo_leaves_no_child(monkeypatch, s_star, threads):
+    pids = _record_forks(monkeypatch)
+    det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, s_star), alpha=0.05, threshold_mode="fixed:4.0")
+    sc = PlsScenario.make("I", "GS", n=500)
+    with _deadline(60):
+        if s_star * sc.n < 2:  # every chunk raises inside its worker
+            with pytest.raises(ValueError, match="n \\* s_star"):
+                monte_carlo(sc, det, R=50, threads=threads)
+        else:
+            monte_carlo(sc, det, R=50, threads=threads)
+    assert len(pids) == threads
+    _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("stall", [False, True], ids=["all-die", "second-stalls"])
+def test_monte_carlo_worker_dying_without_a_result(monkeypatch, stall):
+    caller = os.getpid()
+    ran_in_caller = []
+
+    def dying_chunk(task):
+        if os.getpid() != caller:
+            if stall and task[-1][0] > 0:
+                # a worker still busy when the first one has died is killed, not waited for
+                time.sleep(30)
+            os._exit(7)
+        ran_in_caller.append(task)
+        return _mc_chunk(task)
+
+    monkeypatch.setattr(simulate, "_mc_chunk", dying_chunk)
+    pids = _record_forks(monkeypatch)
+    det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05, threshold_mode="fixed:4.0")
+    with _deadline(20), pytest.raises(RuntimeError, match="without a result"):
+        monte_carlo(PlsScenario.make("I", "GS", n=500), det, R=50, threads=2)
+    assert ran_in_caller == []
+    assert len(pids) == 2
+    _assert_reaped(pids)
 
 
 def test_replicate_at_a_fixed_level_is_detect_pipeline():
