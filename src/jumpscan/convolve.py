@@ -13,15 +13,20 @@ gives the response at each scale as the inverse transform of the series
 spectrum times the conjugate kernel spectrum.  The transforms are
 ``numpy.fft``'s real FFTs at the smallest 2*3*5-smooth length that fits,
 the lengths its pocketfft core transforms fastest.  As in FFTW's
-plan-once design (Frigo & Johnson 2005), one plan per (n, scale tuple,
-filter) is built and cached: the FFT length and the conjugate kernel
-spectra of every scale, from one ``filt.eval_many`` call, so any filter
-with vectorized evaluation works.  Responses come a block of scales at a
-time, one broadcast product and one inverse transform per block, so the
-per-call overhead is paid per block rather than per scale.  Cost is
-O(n log n) per scale, against O(n) for rolling polynomial sums, which
-were nonetheless measured slower at every n up to 100 000.  A moving-sum
-(MOSUM) statistic is the box-kernel case of the same filtering.
+plan-once, many-transform design (Frigo & Johnson 2005), a plan holds
+the FFT length and the conjugate kernel spectra of every scale, from one
+``filt.eval_many`` call, so any filter with vectorized evaluation works.
+A plan holds either one scale tuple that every row shares, and is then
+cached per (n, scales, filter), or one tuple per output row (the scale
+sweep filters one series at several configurations at once); the tuples
+share one widest window, and so one FFT length.  The kernels are
+transformed a block at a time, one 2-D real FFT per block, not one call
+per kernel.  Responses come a block of scales at a time, one broadcast
+product and one inverse transform per block, so the per-call overhead is
+paid per block rather than per scale.  Cost is O(n log n) per scale,
+against O(n) for rolling polynomial sums, which were nonetheless measured
+slower at every n up to 100 000.  A moving-sum (MOSUM) statistic is the
+box-kernel case of the same filtering.
 
 FFT round-off is absolute, about 1e-14 * max|y| per output: agreement
 with the direct sum is ~1e-13 relative for standardized inputs, and a
@@ -76,14 +81,15 @@ def _fast_len(target: int) -> int:
     return best
 
 
-def _window(n: int, s: float) -> int:
-    """Window radius floor(n * s), checked to give a resolvable kernel."""
-    if not (0.0 < s < 1.0):
+def _window(n: int, s):
+    """Window radius floor(n * s) of each scale, checked to give a resolvable kernel."""
+    s = np.asarray(s, dtype=float)
+    if not np.all((0.0 < s) & (s < 1.0)):
         raise ValueError("scale must lie in (0, 1)")
-    h = int(math.floor(n * s))
-    if h < 2:
+    h = np.floor(n * s).astype(int)
+    if np.any(h < 2):
         raise ValueError("scale too small")
-    if h > n // 2:
+    if np.any(h > n // 2):
         raise ValueError("scale too large")
     return h
 
@@ -101,7 +107,7 @@ def _finite_series(y) -> np.ndarray:
 
 def _check_input(y, s):
     y = _finite_series(y)
-    return y, len(y), _window(len(y), s)
+    return y, len(y), int(_window(len(y), s))
 
 
 def _valid_mask(n, h):
@@ -110,7 +116,8 @@ def _valid_mask(n, h):
     return valid
 
 
-# responses one inverse transform produces at most (float64, 1 MB)
+# real values one transform takes or gives at most (float64, 1 MB): the
+# responses of one inverse transform, the kernels of one plan block
 _BLOCK_VALUES = 1 << 17
 
 
@@ -118,44 +125,77 @@ _BLOCK_VALUES = 1 << 17
 # configuration's plan serves its calibration and then its detections
 @lru_cache(maxsize=8)
 def _bank_plan(n: int, scales: tuple, filt):
-    """The bank's plan at ``scales``: (FFT length, read-only kernel spectra).
+    """The bank's plan at ``scales``, one scale tuple per row: (FFT length, read-only spectra).
 
-    Row i of the (len(scales), length // 2 + 1) spectra is conj(rfft(k)) of
-    the kernel at ``scales[i]``, laid out cyclically.  Every kernel comes
-    from one ``eval_many`` call, and each is transformed on its own into its
-    row, so no (scales, length) real matrix exists.
+    The tuples share one length S and one widest window, and so one FFT
+    length; anything else raises ``ValueError``.  Entry [k, i] of the
+    (S, rows, length // 2 + 1) spectra is the conjugate real FFT of the
+    kernel at ``scales[i][k]``, laid out cyclically.  Every kernel comes
+    from one ``eval_many`` call.  The kernels are placed in zeroed real
+    blocks of at most ``_BLOCK_VALUES`` values (one kernel when a single
+    one exceeds it), by one fancy-indexed assignment per side, and each
+    block is transformed by one 2-D ``rfft``.
     """
-    windows = [_window(n, s) for s in scales]
-    length = _fast_len(n + max(windows))
-    ns = [n * s for s in scales]
-    w = filt.eval_many(np.concatenate([np.arange(1, h + 1) / x for h, x in zip(windows, ns)]))
-    kernels = np.empty((len(scales), length // 2 + 1), dtype=complex)
-    for row, h, x, wk in zip(kernels, windows, ns, np.split(w, np.cumsum(windows)[:-1])):
-        wk = wk / math.sqrt(x)
-        k = np.zeros(length)
-        k[1 : h + 1] = wk
-        k[length - h :] = -wk[::-1]
-        np.conjugate(rfft(k), out=row)
+    s = np.array(scales).T
+    windows = _window(n, s)
+    widest = windows.max(axis=0)
+    if np.any(widest != widest[0]):
+        raise ValueError("the rows' scale tuples need one widest window")
+    length = _fast_len(n + int(widest[0]))
+    # kernel p = k * rows + i, its values at positions ends[p] - h[p] .. ends[p] - 1
+    h, ns = windows.ravel(), n * s.ravel()
+    ends = np.cumsum(h)
+    kernel = np.repeat(np.arange(h.size), h)
+    d = np.arange(ends[-1]) - np.repeat(ends - h, h) + 1
+    w = filt.eval_many(d / ns[kernel]) / np.sqrt(ns)[kernel]
+    per = max(1, _BLOCK_VALUES // length)
+
+    def spectra(start, stop):  # conj(rfft) of the kernels start .. stop - 1, as one block
+        vals = slice(ends[start] - h[start], ends[stop - 1])
+        block = np.zeros((stop - start, length))
+        block[kernel[vals] - start, d[vals]] = w[vals]
+        block[kernel[vals] - start, length - d[vals]] = -w[vals]
+        f = rfft(block)
+        return np.conjugate(f, out=f)
+
+    # one block is conjugated where its transform wrote it: a fresh array
+    # for the plan would cost a page fault per 4 KB it holds
+    if h.size <= per:
+        flat = spectra(0, h.size)
+    else:
+        flat = np.empty((h.size, length // 2 + 1), dtype=complex)
+        for start in range(0, h.size, per):
+            flat[start : start + per] = spectra(start, min(start + per, h.size))
+    kernels = flat.reshape(windows.shape + (-1,))
     kernels.flags.writeable = False
     return length, kernels
 
 
 def filter_bank(ymat: np.ndarray, scales, filt):
-    """Yield the (m, n) response of the rows of ``ymat`` at each scale in turn.
+    """Yield the response of the rows of ``ymat`` at each scale in turn.
 
-    Each row is transformed once for all ``scales``.  Responses come from
-    one broadcast product and inverse transform per block of scales, each
-    block a fresh array of at most ``_BLOCK_VALUES`` outputs (one scale when
-    a single one exceeds it), so a caller that reduces over scales holds
-    one block at a time and an earlier response stays valid.
+    ``scales`` is one sequence of scales for every row, or one per row of
+    the output, each of one length and one widest scale; with one scale
+    sequence per row, ``ymat`` has that many rows or a single one, which
+    then serves every sequence.  Each row is transformed once for all
+    scales.  Responses come from one broadcast product and inverse
+    transform per block of scales, each block a fresh array of at most
+    ``_BLOCK_VALUES`` outputs (one scale when a single one exceeds it), so a
+    caller that reduces over scales holds one block at a time and an
+    earlier response stays valid.
     """
     m, n = ymat.shape
-    length, kernels = _bank_plan(n, tuple(float(s) for s in scales), filt)
+    rows = np.atleast_2d(np.asarray(scales, dtype=float))
+    # a per-row plan serves one call of the scale sweep, whose keys hold a
+    # selected s_star: cached, it would only hold memory (~0.5 MB at n = 500)
+    # and evict the plans that calibration and detection share
+    plan = _bank_plan if len(rows) == 1 else _bank_plan.__wrapped__
+    length, kernels = plan(n, tuple(map(tuple, rows.tolist())), filt)
     spec = rfft(ymat, length, axis=1)
-    block = max(1, _BLOCK_VALUES // (m * length))
+    block = max(1, _BLOCK_VALUES // (max(m, len(rows)) * length))
     for start in range(0, len(kernels), block):
         # the product is a temporary, so no block's product outlives its transform
-        yield from irfft(spec * kernels[start : start + block, None, :], length, axis=-1)[:, :, :n]
+        yield from irfft(spec * kernels[start : start + block], length, axis=-1)[:, :, :n]
 
 
 def fast_filtered_series(y, s: float, filt) -> FilteredSeries:

@@ -59,8 +59,8 @@ class DetectionResult:
         return json.dumps(self.to_dict(), **kw)
 
 
-def _peaks(fields: MultiscaleField, thresholds) -> tuple:
-    """Greedy peaks of every row of the batch field ``fields`` above that row's threshold.
+def _peaks(g: np.ndarray, valid: np.ndarray, s_upper: float, thresholds) -> tuple:
+    """Greedy peaks of every row of ``g`` on its ``valid`` mask, above that row's threshold.
 
     Rounds of a row-wise argmax: each round takes the largest admissible
     point of every row, and masks its closed radius-s_upper neighborhood in
@@ -68,20 +68,20 @@ def _peaks(fields: MultiscaleField, thresholds) -> tuple:
     falls short is done.  Smaller index wins ties.  Returns (rows, indices),
     ordered by row, then by location.
     """
-    m, n = fields.g.shape
-    b = int(math.floor(n * fields.cfg.s_upper))
+    m, n = g.shape
+    b = int(math.floor(n * s_upper))
     # the admissible values, with b columns of -inf either side so that no window is clipped
     width = n + 2 * b
-    g = np.full((m, width), -np.inf)
-    np.copyto(g[:, b : n + b], fields.g, where=fields.valid)
-    flat = g.reshape(-1)
+    padded = np.full((m, width), -np.inf)
+    np.copyto(padded[:, b : n + b], g, where=valid)
+    flat = padded.reshape(-1)
     start = np.arange(0, m * width, width)
     # -inf is not a peak, whatever the threshold
     thresholds = np.maximum(thresholds, -np.finfo(float).max)
     window = np.arange(-b, b + 1)
     found = [start[:0]]
     while True:
-        j = g.argmax(axis=1) + start
+        j = padded.argmax(axis=1) + start
         j = j[flat[j] >= thresholds]
         if not j.size:
             break
@@ -112,7 +112,7 @@ def mjpd_detect(field_: MultiscaleField, threshold: float) -> list:
     location.  The one-row case of the batched peak search.
     """
     batch = _rows(field_, np.newaxis)
-    return _raw_jumps(batch, *_peaks(batch, [threshold]))[0]
+    return _raw_jumps(batch, *_peaks(batch.g, batch.valid, field_.cfg.s_upper, [threshold]))[0]
 
 
 def _refine(ymat, rows, locs, z: float) -> np.ndarray:
@@ -271,7 +271,7 @@ def _pass_rows(ymat, fields, levels: list, threshold_mode, seed, threads) -> lis
     """
     cfg, n = fields.cfg, fields.n
     thr = _thresholds(levels, threshold_mode, cfg, fields.filt, n, seed, threads)
-    rows, idx = _peaks(fields, [thr[a][0] for a in levels])
+    rows, idx = _peaks(fields.g, fields.valid, cfg.s_upper, [thr[a][0] for a in levels])
     refined = _refine(ymat, rows, (idx + 1) / n, cfg.s_lower).tolist()
     results = []
     for alpha, raw in zip(levels, _raw_jumps(fields, rows, idx)):

@@ -134,16 +134,25 @@ def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     return _windowed_mean(raw, raw.shape[-1], 0, ((-half, half + 1),))
 
 
-def _field_batch(ymat: np.ndarray, cfg: ScaleConfig, filt, arg=None):
+def _field_batch(ymat: np.ndarray, cfg, filt, arg=None):
     """Scale grid, max over scales of |H|, smoothed denominator and valid mask.
 
-    The one statistic core: detection (``multiscale_field``) and the null
-    simulation behind the thresholds (``threshold._gauss_max_stats``) both
-    take max_u |H(t, u)| here and divide it by sqrt(Xi) on the valid mask.
-    One filter bank serves the denominator scale and every grid scale, so
-    each row is transformed once.  Detection passes an (m, n) int16 ``arg``,
-    which receives the index of the first grid scale attaining the maximum;
-    the null simulation passes none and skips that bookkeeping.
+    The one statistic core: detection (``multiscale_field``), the null
+    simulation behind the thresholds (``threshold._gauss_max_stats``) and
+    the scale sweep (``tuning.select_scales``) all take max_u |H(t, u)| here
+    and divide it by sqrt(Xi) on the valid mask.  One filter bank serves the
+    denominator scale and every grid scale, so each row is transformed once.
+    Detection passes an (m, n) int16 ``arg``, which receives the index of
+    the first grid scale attaining the maximum; the null simulation and the
+    sweep pass none and skip that bookkeeping.
+
+    ``cfg`` is one configuration, or one per output row (the grid is then
+    one row of scales per configuration, and a one-row ``ymat`` serves
+    every configuration).  Per-row configurations share s_upper and
+    grid_eps, so that one FFT length, grid size and valid core serve them
+    all; anything else raises ``ValueError``.  Xi is computed once per
+    distinct configuration, and row i is bitwise the batch of its own
+    configuration alone.
 
     A point is valid when it lies in the core [s_upper, 1 - s_upper] and its
     Xi is at least ``_XI_FLOOR`` times the row maximum.  A row without
@@ -152,10 +161,27 @@ def _field_batch(ymat: np.ndarray, cfg: ScaleConfig, filt, arg=None):
     valid.
     """
     n = ymat.shape[1]
-    cfg.validate_n(n)
-    grid = scale_grid(n, cfg)
-    bank = filter_bank(ymat, [cfg.s_star, *grid], filt)
-    xi = _xi_smoothed(next(bank), cfg)
+    if isinstance(cfg, ScaleConfig):
+        cfg.validate_n(n)
+        grid = scale_grid(n, cfg)
+        bank = filter_bank(ymat, [cfg.s_star, *grid], filt)
+        # unnamed: the response views a whole bank block, which would then
+        # outlive Xi (+5 MB peak in a 128-row null chunk at n = 5000)
+        xi = _xi_smoothed(next(bank), cfg)
+    else:
+        cfgs = list(cfg)
+        if len({(c.s_upper, c.grid_eps) for c in cfgs}) != 1:
+            raise ValueError("per-row configurations must share s_upper and grid_eps")
+        for c in cfgs:
+            c.validate_n(n)
+        grid = np.array([scale_grid(n, c) for c in cfgs])
+        bank = filter_bank(ymat, [[c.s_star, *g] for c, g in zip(cfgs, grid)], filt)
+        hstar = next(bank)
+        xi = np.empty_like(hstar)
+        for c in dict.fromkeys(cfgs):
+            rows = [i for i, other in enumerate(cfgs) if other == c]
+            xi[rows] = _xi_smoothed(hstar[rows], c)
+        cfg = cfgs[0]
     spread = np.ptp(ymat, axis=1, keepdims=True) > 0
     top = np.where(spread, xi.max(axis=1, keepdims=True), 0.0)
     valid = (xi >= _XI_FLOOR * top) & (top > 0)
@@ -170,6 +196,17 @@ def _field_batch(ymat: np.ndarray, cfg: ScaleConfig, filt, arg=None):
             np.copyto(arg, u, where=h > hmax)
         np.maximum(hmax, h, out=hmax)
     return grid, hmax, xi, valid
+
+
+def _check_length(n: int) -> None:
+    if n < MIN_N:
+        raise ValueError(f"series too short (n >= {MIN_N} required)")
+
+
+def _check_valid(valid: np.ndarray) -> None:
+    """``ValueError`` unless every row of ``valid`` has a valid point."""
+    if not valid.any(axis=1).all():
+        raise ValueError("no valid point: the denominator is degenerate (constant series?)")
 
 
 def _self_normalized(hmax, xi, valid, fill):
@@ -228,12 +265,10 @@ def _multiscale_fields(ymat: np.ndarray, cfg: ScaleConfig, filt) -> MultiscaleFi
     ``multiscale_field`` does when any row has no valid point.
     """
     m, n = ymat.shape
-    if n < MIN_N:
-        raise ValueError(f"series too short (n >= {MIN_N} required)")
+    _check_length(n)
     arg = np.zeros((m, n), dtype=np.int16)
     grid, hmax, xi, valid = _field_batch(ymat, cfg, filt, arg)
-    if not valid.any(axis=1).all():
-        raise ValueError("no valid point: the denominator is degenerate (constant series?)")
+    _check_valid(valid)
     g = _self_normalized(hmax, xi, valid, np.nan)
     return MultiscaleField(grid=grid, hmax=hmax, arg=arg, xi=xi, g=g, valid=valid, cfg=cfg,
                            filt=filt)

@@ -16,11 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detect import (
-    _level, _parse_threshold, _pass_rows, _peaks, _resolve_threshold, _thresholds, mjpd_detect,
-)
+from .detect import _level, _parse_threshold, _pass_rows, _peaks, _resolve_threshold, _thresholds
 from .convolve import _finite_series, filter_bank
-from .field import MultiscaleField, ScaleConfig, _rows, _xi_band, multiscale_field
+from .field import (
+    MultiscaleField, ScaleConfig, _check_length, _check_valid, _field_batch, _rows,
+    _self_normalized, _xi_band, multiscale_field,
+)
 from .threshold import TailConstants, critical_value, tail_constants
 
 __all__ = [
@@ -152,6 +153,39 @@ def _scale_grids(n: int):
     )
 
 
+def _sweep_counts(y: np.ndarray, filt) -> np.ndarray:
+    """The raw peak count of every candidate pair of :func:`select_scales`; -1 if inadmissible.
+
+    Entry (i, j) counts the peaks of the field at (s_lower_i, s_upper_j)
+    above its analytic critical value at level ``_SWEEP_LEVEL``.  The
+    denominator scale of each s_lower that has an admissible pair is first
+    selected against the widest s_upper, in increasing s_lower.  Then one
+    column (one s_upper, every admissible s_lower) is one per-row
+    ``_field_batch`` of ``y`` and one ``_peaks`` call, so each count is
+    bitwise that of the pair's own field.
+    """
+    n = len(y)
+    _check_length(n)
+    grid1, grid2 = _scale_grids(n)
+    widest = float(grid2[-1])
+    s_star = {i: select_s_star(y, float(sl), widest, filt).chosen
+              for i, sl in enumerate(grid1) if sl < widest}
+    counts = np.full((len(grid1), len(grid2)), -1, dtype=int)
+    for j, su in enumerate(grid2):
+        rows = [i for i in s_star if grid1[i] < su]
+        if not rows:
+            continue
+        cfgs = [ScaleConfig(s_lower=float(grid1[i]), s_upper=float(su), s_star=s_star[i])
+                for i in rows]
+        _, hmax, xi, valid = _field_batch(y[None, :], cfgs, filt)
+        _check_valid(valid)
+        thresholds = [critical_value(_SWEEP_LEVEL, tail_constants(filt, c.s_lower, c.s_upper))
+                      for c in cfgs]
+        found, _ = _peaks(_self_normalized(hmax, xi, valid, np.nan), valid, float(su), thresholds)
+        counts[rows, j] = np.bincount(found, minlength=len(rows))
+    return counts
+
+
 def select_scales(y, filt) -> MvReport:
     """Pick (s_lower, s_upper) where the detected jump count is most stable.
 
@@ -159,11 +193,12 @@ def select_scales(y, filt) -> MvReport:
     [n^(-1/3)/4, n^(-1/3)/2] against as many of s_upper in
     [n^(-1/6)/6, n^(-1/6)/3].  Counts the raw peaks of every admissible
     pair (s_lower < s_upper) above its analytic critical value at level
-    0.05; the score of an interior pair is the sample variance of the
-    counts over its (2 k3 + 1)^2 neighborhood, k3 = ``_SCALE_RADIUS``,
-    restricted to admissible pairs.  Below n = 729 some corner pairs are
-    inadmissible; every interior pair is admissible from n = ``MIN_N`` on.
-    Ties break toward the smallest s_lower + s_upper.
+    0.05, one batch of fields per s_upper (``_sweep_counts``); the score of
+    an interior pair is the sample variance of the counts over its
+    (2 k3 + 1)^2 neighborhood, k3 = ``_SCALE_RADIUS``, restricted to
+    admissible pairs.  Below n = 729 some corner pairs are inadmissible;
+    every interior pair is admissible from n = ``MIN_N`` on.  Ties break
+    toward the smallest s_lower + s_upper.
 
     The sweep reads no threshold mode and applies no finite-sample factor:
     counts shift almost uniformly across pairs, and simulating or
@@ -172,24 +207,8 @@ def select_scales(y, filt) -> MvReport:
     """
     y = _finite_series(y)
     grid1, grid2 = _scale_grids(len(y))
+    counts = _sweep_counts(y, filt)
     k1, k2, k3 = len(grid1), len(grid2), _SCALE_RADIUS
-
-    sstar_cache = {}
-
-    def s_star_for(sl):
-        if sl not in sstar_cache:
-            sstar_cache[sl] = select_s_star(y, sl, float(grid2[-1]), filt).chosen
-        return sstar_cache[sl]
-
-    counts = np.full((k1, k2), -1, dtype=int)
-    for i, sl in enumerate(grid1):
-        for j, su in enumerate(grid2):
-            if sl >= su:
-                continue
-            cfg = ScaleConfig(s_lower=float(sl), s_upper=float(su), s_star=s_star_for(float(sl)))
-            c = critical_value(_SWEEP_LEVEL, tail_constants(filt, cfg.s_lower, cfg.s_upper))
-            counts[i, j] = len(mjpd_detect(multiscale_field(y, cfg, filt), c))
-
     pairs, scores = [], []
     for i in range(k3, k1 - k3):
         for j in range(k3, k2 - k3):
@@ -361,7 +380,7 @@ def _detect_rows(ymat, fields, alpha, *, threshold_mode="analytic", seed=0, thre
     # only the raw peaks.
     probe_levels = np.maximum(0.10, a1).tolist()
     thr = _thresholds(probe_levels, threshold_mode, cfg, filt, n, seed, threads)
-    rows, idx = _peaks(fields, [thr[a][0] for a in probe_levels])
+    rows, idx = _peaks(fields.g, fields.valid, cfg.s_upper, [thr[a][0] for a in probe_levels])
     # Candidates barely above the probe threshold are as likely noise
     # exceedances as jumps; letting them set the ratio would push the level
     # to the grid ceiling.  A candidate informs the final level if it would

@@ -14,9 +14,10 @@ from jumpscan.convolve import (
     filter_bank,
 )
 from jumpscan.detect import detect_pipeline
-from jumpscan.field import ScaleConfig, multiscale_field, scale_grid
+from jumpscan.field import ScaleConfig, _field_batch, multiscale_field, scale_grid
 from jumpscan.filters import builtin_wstar, construct_beta_filter
 from jumpscan.threshold import _gauss_max_stats, fs_correction
+from jumpscan.tuning import _scale_grids
 
 W = builtin_wstar()
 BETA, _ = construct_beta_filter(2, 30)
@@ -185,7 +186,7 @@ CFG400 = ScaleConfig(0.061, 0.167, 0.03)
 def _block_budgets(m, n, cfg, filt):
     """Block budgets of one scale per inverse transform, three, and every scale."""
     scales = (cfg.s_star, *scale_grid(n, cfg))
-    length, _ = _bank_plan(n, tuple(float(s) for s in scales), filt)
+    length, _ = _bank_plan(n, (tuple(float(s) for s in scales),), filt)
     return [per * m * length for per in (1, 3, len(scales))]
 
 
@@ -223,6 +224,90 @@ def test_field_and_null_maxima_do_not_depend_on_the_block(filt, monkeypatch):
     for f, s in zip(fields[1:], stats[1:]):
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(fields[0], f))
         assert all(np.array_equal(a, b) for a, b in zip(stats[0], s))
+
+
+def _sweep_column(n):
+    """Seven configurations sharing the widest s_upper of the scale sweep at length n."""
+    grid1, grid2 = _scale_grids(n)
+    return [ScaleConfig(float(sl), float(grid2[-1]), float(sl) / (2 + k % 3))
+            for k, sl in enumerate(grid1)]
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_per_row_configs_are_each_rows_own_batch(n, monkeypatch):
+    cfgs = _sweep_column(n)
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n) + 2.0 * (np.arange(n) >= n // 3)
+    ymat = rng.standard_normal((len(cfgs) + 1, n))
+    # one series for every configuration, as the sweep builds it, and one
+    # series per row with the first configuration twice (one Xi for both)
+    for series, rows in ((y[None, :], cfgs), (ymat, [*cfgs, cfgs[0]])):
+        m = len(rows)
+        for budget in _block_budgets(m, n, rows[0], W):
+            monkeypatch.setattr(convolve, "_BLOCK_VALUES", budget)
+            _bank_plan.cache_clear()  # one-configuration kernels in blocks of this budget too
+            arg = np.zeros((m, n), dtype=np.int16)
+            grid, hmax, xi, valid = _field_batch(series, rows, W, arg)
+            assert grid.shape == (m, len(scale_grid(n, rows[0])))
+            for i, cfg in enumerate(rows):
+                one = series[i % len(series)][None, :]
+                arg1 = np.zeros((1, n), dtype=np.int16)
+                g1, h1, x1, v1 = _field_batch(one, cfg, W, arg1)
+                assert np.array_equal(grid[i], g1)
+                for a, b in ((hmax, h1), (xi, x1), (valid, v1), (arg, arg1)):
+                    assert np.array_equal(a[i], b[0])
+            # without ``arg`` the same maxima, denominators and masks
+            _, *plain = _field_batch(series, rows, W)
+            assert all(np.array_equal(a, b) for a, b in zip((hmax, xi, valid), plain))
+
+
+def test_per_row_plans_stay_out_of_the_cache():
+    y = np.random.default_rng(24).standard_normal(500)
+    _bank_plan.cache_clear()
+    _field_batch(y[None, :], _sweep_column(500), W)
+    assert _bank_plan.cache_info().currsize == 0
+
+
+def _per_kernel_plan(n, scales, filt):
+    """conj(rfft(k)) of each kernel on its own, laid out cyclically (the oracle for the plan)."""
+    windows = [int(math.floor(n * s)) for s in scales]
+    length = _fast_len(n + max(windows))
+    rows = []
+    for s, h in zip(scales, windows):
+        wk = filt.eval_many(np.arange(1, h + 1) / (n * s)) / math.sqrt(n * s)
+        k = np.zeros(length)
+        k[1 : h + 1] = wk
+        k[length - h :] = -wk[::-1]
+        rows.append(np.conjugate(np.fft.rfft(k)))
+    return length, np.array(rows)
+
+
+@pytest.mark.parametrize("filt", [W, BETA], ids=["wstar", "beta"])
+@pytest.mark.parametrize("n", [100, 500, 2000, 5000, 20000, 100000])
+def test_batched_plan_is_the_per_kernel_transforms(n, filt):
+    lo, hi = n ** (-1 / 3) / 2, n ** (-1 / 6) / 3
+    cfg = ScaleConfig(lo, hi, lo / 2)
+    scales = (cfg.s_star, *scale_grid(n, cfg))
+    length, kernels = _bank_plan(n, (tuple(float(s) for s in scales),), filt)
+    want_length, want = _per_kernel_plan(n, scales, filt)
+    assert length == want_length and kernels.shape == (len(scales), 1, length // 2 + 1)
+    assert np.array_equal(kernels[:, 0], want)
+    assert not kernels.flags.writeable
+
+
+@pytest.mark.parametrize("n", [500, 5000])
+def test_per_row_plan_is_each_rows_own_plan(n):
+    rows = [(cfg.s_star, *scale_grid(n, cfg)) for cfg in _sweep_column(n)]
+    length, kernels = _bank_plan(n, tuple(tuple(float(s) for s in r) for r in rows), W)
+    assert kernels.shape[:2] == (len(rows[0]), len(rows))
+    for i, r in enumerate(rows):
+        want_length, want = _per_kernel_plan(n, r, W)
+        assert length == want_length and np.array_equal(kernels[:, i], want)
+
+
+def test_per_row_scales_need_one_widest_window():
+    with pytest.raises(ValueError, match="widest window"):
+        list(filter_bank(np.zeros((2, 500)), [[0.02, 0.1], [0.03, 0.2]], W))
 
 
 def test_detection_after_calibration_reuses_the_plan():

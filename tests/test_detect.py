@@ -194,7 +194,7 @@ def test_batched_peaks_match_the_greedy_loop():
     ties = replace(batch, g=np.where(batch.valid, np.round(batch.g), np.nan))
     for fields in (batch, ties):
         for thresholds in ([2.0, 2.0, 2.0], [3.5, 1.0, 5.0], [np.inf, 0.0, -np.inf]):
-            rows, idx = detect._peaks(fields, thresholds)
+            rows, idx = detect._peaks(fields.g, fields.valid, fields.cfg.s_upper, thresholds)
             for i, thr in enumerate(thresholds):
                 want = _greedy_loop(_rows(fields, i), thr)
                 assert idx[rows == i].tolist() == want

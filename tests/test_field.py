@@ -226,6 +226,17 @@ def test_xi_band_empty_errors():
         _field_batch(y[None, :], cfg, W)
 
 
+@pytest.mark.parametrize(
+    "other",
+    [ScaleConfig(0.05, 0.15, 0.025), ScaleConfig(0.05, 0.167, 0.025, grid_eps=0.4)],
+    ids=["s_upper", "grid_eps"],
+)
+def test_per_row_configs_must_share_s_upper_and_grid_eps(other):
+    y = np.random.default_rng(23).standard_normal(500)
+    with pytest.raises(ValueError, match="share s_upper and grid_eps"):
+        _field_batch(y[None, :], [CFG500, other], W)
+
+
 # ---------------------------------------------------------------------------
 # multiscale field
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from jumpscan import detect, tuning
-from jumpscan.detect import detect_pipeline
+from jumpscan.detect import detect_pipeline, mjpd_detect
 from jumpscan.cli import LADDER
 from jumpscan.field import MIN_N, ScaleConfig, _multiscale_fields, multiscale_field
 from jumpscan.filters import builtin_wstar
+from jumpscan.simulate import PlsScenario, gen_series
 from jumpscan.threshold import critical_value, tail_constants
 from jumpscan.tuning import (
     _norm_cdf,
@@ -89,6 +90,61 @@ def test_select_scales_tie_break_smallest_sum():
     rep = select_scales(y, W)
     assert rep.scores == [0.0] * 9
     assert rep.chosen == min(_interior_pairs(800), key=lambda p: p[0] + p[1])
+
+
+def _per_pair_counts(y, filt):
+    """The sweep's counts as one field and one peak search per pair (the oracle)."""
+    grid1, grid2 = tuning._scale_grids(len(y))
+    s_star = {}
+    counts = np.full((len(grid1), len(grid2)), -1, dtype=int)
+    for i, sl in enumerate(grid1):
+        for j, su in enumerate(grid2):
+            if sl >= su:
+                continue
+            if float(sl) not in s_star:
+                s_star[float(sl)] = select_s_star(y, float(sl), float(grid2[-1]), filt).chosen
+            cfg = ScaleConfig(s_lower=float(sl), s_upper=float(su), s_star=s_star[float(sl)])
+            c = critical_value(tuning._SWEEP_LEVEL, tail_constants(filt, cfg.s_lower, cfg.s_upper))
+            counts[i, j] = len(mjpd_detect(multiscale_field(y, cfg, filt), c))
+    return counts
+
+
+def _report_of_counts(counts, n):
+    """The minimum-volatility report of a count matrix, scored pair by pair."""
+    k = tuning._SCALE_RADIUS
+    grid1, grid2 = tuning._scale_grids(n)
+    pairs, scores = [], []
+    for i in range(k, len(grid1) - k):
+        for j in range(k, len(grid2) - k):
+            nb = counts[i - k : i + k + 1, j - k : j + k + 1]
+            pairs.append((float(grid1[i]), float(grid2[j])))
+            scores.append(float(np.var(nb[nb >= 0], ddof=1)))
+    best = min(range(len(pairs)), key=lambda r: (scores[r], pairs[r][0] + pairs[r][1]))
+    return tuning.MvReport(candidates=pairs, scores=scores, chosen_index=best)
+
+
+def _sweep_cases():
+    cases = [(f"II:PLS-500-{s}", "II", "PLS", 500, s) for s in range(6)]
+    cases += [("I:GS-200", "I", "GS", 200, 3), ("II:PLS-5000", "II", "PLS", 5000, 1)]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("mean,noise,n,seed", _sweep_cases())
+def test_column_batched_sweep_matches_the_per_pair_loop(mean, noise, n, seed):
+    y, _ = gen_series(PlsScenario.make(mean, noise, n=n, seed=seed))
+    want = _per_pair_counts(y, W)
+    got = tuning._sweep_counts(y, W)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if n < 729:
+        assert (want == -1).any()  # inadmissible corner pairs
+    assert select_scales(y, W) == _report_of_counts(want, n)
+
+
+def test_column_batched_sweep_matches_the_per_pair_loop_on_the_tie_case():
+    y = step_series(800, 12.0, seed=2)
+    want = _per_pair_counts(y, W)
+    assert np.array_equal(tuning._sweep_counts(y, W), want)
+    assert select_scales(y, W) == _report_of_counts(want, 800)
 
 
 def test_default_scale_grids_have_only_admissible_interior_pairs():
@@ -262,7 +318,6 @@ def test_sigma_sup_near_max_of_median_filtered_xi(n, cfg):
     # of five models at each n read ratios of 0.9995-1.0043 here
     from scipy.ndimage import median_filter
 
-    from jumpscan.simulate import PlsScenario, gen_series
 
     w = int(math.floor(n * cfg.s_star))
     for scenario in ["I:GS", "II:PLS", "zero:ARMA"]:
@@ -348,7 +403,6 @@ _CHUNK = [("zero", "GS", 0), ("zero", "ARMA", 6), ("I", "GS", 0), ("InP", "GS", 
 
 
 def test_batched_pass_matches_one_row_detection():
-    from jumpscan.simulate import PlsScenario, gen_series
 
     cfg = ScaleConfig(0.061, 0.167, 0.03)
     scenarios = [PlsScenario.make(mean, noise, n=500, seed=seed) for mean, noise, seed in _CHUNK]
@@ -421,6 +475,7 @@ def no_work(monkeypatch):
 
     monkeypatch.setattr(tuning, "multiscale_field", fail)
     monkeypatch.setattr(tuning, "filter_bank", fail)
+    monkeypatch.setattr(tuning, "_field_batch", fail)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "fixed:", "fixedfoo:3", "analytic:1", "bootstrap:abc"])
@@ -437,7 +492,6 @@ def test_auto_detect_rejects_bad_level_before_any_work(alpha, no_work):
 
 def test_auto_detect_returns_the_field_of_its_filter():
     from jumpscan.filters import construct_beta_filter
-    from jumpscan.simulate import PlsScenario, gen_series
 
     # the built-in filter's field of this series has no peak above the beta threshold
     y, _ = gen_series(PlsScenario.make("II", "PLS", n=500, seed=7))
@@ -476,7 +530,6 @@ _PINNED_LEVELS = {
 
 @pytest.mark.parametrize("scenario", sorted(_PINNED_LEVELS))
 def test_automatic_level_is_pinned(scenario):
-    from jumpscan.simulate import PlsScenario, gen_series
 
     mean, noise = scenario.split(":")
     cfg = ScaleConfig(0.061, 0.167, 0.03)
@@ -545,7 +598,6 @@ _PINNED_LENGTHS = {
 
 @pytest.mark.parametrize("n", sorted(_PINNED_LENGTHS))
 def test_automatic_level_is_pinned_across_lengths(n):
-    from jumpscan.simulate import PlsScenario, gen_series
 
     cfg, mode, pinned = _PINNED_LENGTHS[n]
     for scenario, want in pinned.items():
