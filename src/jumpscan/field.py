@@ -206,7 +206,8 @@ def _check_length(n: int) -> None:
 def _check_valid(valid: np.ndarray) -> None:
     """``ValueError`` unless every row of ``valid`` has a valid point."""
     if not valid.any(axis=1).all():
-        raise ValueError("no valid point: the denominator is degenerate (constant series?)")
+        raise ValueError("no valid point: the denominator is degenerate (a constant series, "
+                         "or squared filter responses that under- or overflow)")
 
 
 def _self_normalized(hmax, xi, valid, fill):

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detect import _level, _parse_threshold, _pass_rows, _peaks, _resolve_threshold, _thresholds
+from .detect import _level, _parse_threshold, _pass_rows, _peaks, _resolve_threshold
 from .convolve import _finite_series, filter_bank
 from .field import (
     MultiscaleField, ScaleConfig, _check_length, _check_valid, _field_batch, _rows,
@@ -289,7 +289,9 @@ def sigma_sup_estimate(field_: MultiscaleField):
     valid t of sqrt(Xi(t) / u11).  Xi is already a moving average over
     2 floor(n s_upper) + 1 points, so a jump leaves in it a bump about
     4 n s_upper wide that no further smoothing on a shorter span would damp.
-    A float, or one value per row of a batch field.
+    A float, or one value per row of a batch field.  A diagnostic in data
+    units (``auto_detect``'s ``info["sigma_sup"]``): the automatic level
+    does not read it.
     """
     top = np.max(field_.xi, axis=-1, where=field_.valid, initial=-np.inf)
     sigma = np.sqrt(top / field_.u11)
@@ -312,14 +314,16 @@ def auto_detect(
     neither ``'auto'`` nor in (0, 0.5), or a non-finite entry of ``y``
     raises ``ValueError`` before any work.  Missing scales come from the
     minimum-volatility selections, which read only analytic critical
-    values, whatever the threshold mode.  With
-    ``alpha='auto'`` the level is chosen by :func:`select_alpha` and, when
-    the raw peaks of a moderate-level probe include candidate jumps,
-    refreshed once with their count and the weakest one's peak as the
-    ratio.  Only the probe and the final detection pass use
-    ``threshold_mode``; the pass runs at the settled level.  The field is built once; the probe and the
-    pass reuse it and ``info["field"]`` returns it.  With ``cfg`` and a
-    level, the result is that of :func:`detect_pipeline`.
+    values, whatever the threshold mode.  With ``alpha='auto'`` the strong
+    raw peaks of a probe at level 0.10 are the candidate jumps; with
+    candidates the level is :func:`select_alpha`'s for their count, with
+    the weakest one's peak as the ratio, else the grid minimum.  It reads
+    only the statistic and counts, so it is invariant under ``c * y + d``,
+    c > 0, up to the filter bank's round-off.  Only the probe and the final
+    detection pass use ``threshold_mode``; the pass runs at the settled
+    level.  The field is built once; the probe and the pass reuse it and
+    ``info["field"]`` returns it.  With ``cfg`` and a level, the result is
+    that of :func:`detect_pipeline`.
     """
     _parse_threshold(threshold_mode)
     alpha = _level(alpha)
@@ -349,9 +353,10 @@ def _detect_rows(ymat, fields, alpha, *, threshold_mode="analytic", seed=0, thre
     ``fields`` is the batch field of the (m, n) ``ymat``; ``alpha`` is
     ``'auto'`` or a level already checked by ``_level``, and the keywords
     and their defaults are those of :func:`auto_detect`.  With ``'auto'``
-    each row's level is settled from its field (``select_alpha``'s search,
-    then the probe), all rows together.  Returns one detection result and
-    one dict of level choices per row.
+    one probe threshold serves every row, and one level search serves the
+    rows with strong candidates; every other row is detected at the grid
+    minimum.  Returns one detection result and one dict of level choices
+    per row.
     """
     cfg, filt, n = fields.cfg, fields.filt, fields.n
     m = len(ymat)
@@ -361,26 +366,15 @@ def _detect_rows(ymat, fields, alpha, *, threshold_mode="analytic", seed=0, thre
         ]
 
     tc = tail_constants(filt, cfg.s_lower, cfg.s_upper)
-    corr = _resolve_threshold(threshold_mode, 0.10, cfg, filt, n, seed, threads)[1]
-    sigma = sigma_sup_estimate(fields)
-    # Round 1: the ratio of a rule-of-thumb jump of size s_upper at the
-    # noise level sigma, one of 1 / (2 s_upper) jumps.  sigma is the largest
-    # sqrt(Xi / u11) over the valid core, positive because every valid Xi is.
-    mom = filt.moments()
-    xi_n = math.sqrt(n * cfg.s_upper) * cfg.s_upper * mom.f0 / (sigma * math.sqrt(mom.u11))
-    a1 = _select_levels(xi_n, np.full(m, 1.0 / (2.0 * cfg.s_upper)), tc, corr)
-    # Round 2.  The rule-of-thumb ratio is pessimistic, so the first level
-    # is usually the grid minimum.  A moderate-level probe always runs to
-    # enumerate candidate jumps (the strict pass may see only the
-    # strongest), and the weakest candidate peak is the ratio for the final
-    # level: a peak G is the statistic's value at a jump, the ratio in the
-    # units select_alpha reads.  A marginal probe peak is a marginal ratio,
-    # which drives the selected level back to the grid minimum, so a
-    # spurious probe hit cannot survive to the final pass.  The probe needs
-    # only the raw peaks.
-    probe_levels = np.maximum(0.10, a1).tolist()
-    thr = _thresholds(probe_levels, threshold_mode, cfg, filt, n, seed, threads)
-    rows, idx = _peaks(fields.g, fields.valid, cfg.s_upper, [thr[a][0] for a in probe_levels])
+    # A moderate-level probe enumerates candidate jumps (the strict pass may
+    # see only the strongest), and the weakest candidate peak is the ratio
+    # for the level: a peak G is the statistic's value at a jump, the ratio
+    # in the units select_alpha reads.  A marginal probe peak is a marginal
+    # ratio, which drives the level back to the grid minimum, so a spurious
+    # probe hit cannot survive to the final pass.  The probe needs only the
+    # raw peaks.
+    probe, corr, _ = _resolve_threshold(threshold_mode, 0.10, cfg, filt, n, seed, threads)
+    rows, idx = _peaks(fields.g, fields.valid, cfg.s_upper, probe)
     # Candidates barely above the probe threshold are as likely noise
     # exceedances as jumps; letting them set the ratio would push the level
     # to the grid ceiling.  A candidate informs the final level if it would
@@ -395,13 +389,14 @@ def _detect_rows(ymat, fields, alpha, *, threshold_mode="analytic", seed=0, thre
     weakest = np.full(m, np.inf)
     np.minimum.at(weakest, rows[strong], peak[strong])
     has = count > 0
-    levels = a1.copy()
+    levels = np.full(m, _Q_GRID[0])
     levels[has] = _select_levels(weakest[has], count[has], tc, corr)
     # the levels are settled: one full pass, refinement included
     results = _pass_rows(ymat, fields, levels.tolist(), threshold_mode, seed, threads)
+    sigma = sigma_sup_estimate(fields)
     infos = []
     for i, res in enumerate(results):
-        info = {"alpha_round1": float(a1[i])}
+        info = {"alpha_round1": float(_Q_GRID[0])}
         if has[i]:
             info["alpha_round2"] = float(levels[i])
         info["alpha"] = res.alpha

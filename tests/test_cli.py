@@ -151,6 +151,18 @@ def test_detect_constant_series_exit_3(tmp_path, capsys, scales):
     assert "no valid point" in capsys.readouterr().err
 
 
+def test_detect_underflowing_series_exit_3(tmp_path, capsys):
+    # not constant, but its squared filter responses underflow to 0
+    y = 1e-200 * np.random.default_rng(5).standard_normal(500)
+    cfg = jumpscan.field.ScaleConfig(0.061, 0.167, 0.03)
+    with pytest.raises(ValueError, match="no valid point.*under- or overflow"):
+        jumpscan.field.multiscale_field(y, cfg, jumpscan.cli.builtin_wstar())
+    p = tmp_path / "tiny.csv"
+    write_series(p, y)
+    assert main(["detect", "--input", str(p), "--out", str(tmp_path)]) == 3
+    assert "under- or overflow" in capsys.readouterr().err
+
+
 def test_detect_bad_config_exit_3(step_csv, tmp_path, capsys):
     rc = main([
         "detect", "--input", str(step_csv), "--out", str(tmp_path),

@@ -193,7 +193,7 @@ def _rule_of_thumb_ratio(n, s_upper, delta, sigma=1.0):
 
 def test_select_alpha_on_grid_and_minimal():
     tc = tail_constants(W, 0.061, 0.167)
-    # the round-1 ratio of auto_detect at n = 500, s_upper = 0.167, sigma = 1
+    # a jump of size s_upper at unit noise, n = 500, s_upper = 0.167, one of 1 / (2 s_upper)
     xi = _rule_of_thumb_ratio(500, 0.167, 0.167)
     a = select_alpha(xi, 1 / (2 * 0.167), tc, 1.0)
     grid = np.arange(0.001, 0.301, 0.001)
@@ -415,10 +415,9 @@ def test_batched_pass_matches_one_row_detection():
         assert one_info == {"config": cfg, "field": one_info["field"], **info}
     assert [r.count for r in results] == [0, 0, 1, 3, 2, 2]
     assert len({info["alpha"] for info in infos}) == 4
-    probe_level = max(0.10, infos[1]["alpha_round1"])
     probe = detect.mjpd_detect(
         multiscale_field(ymat[1], cfg, W),
-        detect._resolve_threshold("analytic", probe_level, cfg, W, 500, 0, 1)[0],
+        detect._resolve_threshold("analytic", 0.10, cfg, W, 500, 0, 1)[0],
     )
     assert probe and "alpha_round2" not in infos[1]
 
@@ -609,3 +608,55 @@ def test_automatic_level_is_pinned_across_lengths(n):
                 (info["alpha_round1"], info.get("alpha_round2"), res.count, _digest(res.to_dict()))
             )
         assert got == want, scenario
+
+
+# the series of both pin tests, with their own configuration and mode, and
+# zero:GS seed 1, whose level once moved under 0.1 y: (scenario, n, seed) -> (cfg, mode)
+_INVARIANCE_SERIES = {
+    **{(scenario, 500, seed): (ScaleConfig(0.061, 0.167, 0.03), "analytic")
+       for scenario in _PINNED_LEVELS for seed in range(4)},
+    **{(scenario, n, seed): (cfg, mode)
+       for n, (cfg, mode, pinned) in _PINNED_LENGTHS.items()
+       for scenario in pinned for seed in range(2)},
+    ("zero:GS", 500, 1): (ScaleConfig(0.061, 0.167, 0.03), "analytic"),
+}
+# (c, d) of c y + d; at c = 1e-6 an offset of 10 leaves FFT round-off in
+# proportion to max|y| of ~1e-9 relative in G, so offsets start at c = 1e-3
+_AFFINE = [(c, 0.0) for c in (1e-6, 1e-3, 0.03, 0.1, 0.3, 1e3, 1e6)] + [
+    (c, 10.0) for c in (1e-3, 0.03, 0.1, 0.3, 1e3, 1e6)
+]
+
+
+def _assert_same_detection(res, info, want, want_info):
+    assert info["alpha"] == want_info["alpha"]
+    assert info.get("alpha_round2") == want_info.get("alpha_round2")
+    assert res.count == want.count
+    assert [j.location for j in res.jumps_raw] == [j.location for j in want.jumps_raw]
+    assert res.jumps_refined == want.jumps_refined
+    np.testing.assert_allclose(
+        [j.g_value for j in res.jumps_raw], [j.g_value for j in want.jumps_raw], rtol=1e-9
+    )
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_INVARIANCE_SERIES), ids=lambda k: f"{k[0]}-n{k[1]}-seed{k[2]}"
+)
+def test_automatic_level_is_affine_invariant(key):
+    scenario, n, seed = key
+    cfg, mode = _INVARIANCE_SERIES[key]
+    y, _ = gen_series(PlsScenario.make(*scenario.split(":"), n=n, seed=seed))
+    want, want_info = auto_detect(y, W, cfg=cfg, alpha="auto", threshold_mode=mode)
+    for c, d in _AFFINE:
+        res, info = auto_detect(c * y + d, W, cfg=cfg, alpha="auto", threshold_mode=mode)
+        _assert_same_detection(res, info, want, want_info)
+
+
+@pytest.mark.parametrize("scenario", ["I:GS", "II:PLS", "zero:ARMA"])
+def test_automatic_scales_and_level_are_scale_invariant(scenario):
+    for seed in range(2):
+        y, _ = gen_series(PlsScenario.make(*scenario.split(":"), n=500, seed=seed))
+        want, want_info = auto_detect(y, W, cfg=None, alpha="auto")
+        for c in (1e-3, 0.1, 1e3):
+            res, info = auto_detect(c * y, W, cfg=None, alpha="auto")
+            assert info["config"] == want_info["config"]
+            _assert_same_detection(res, info, want, want_info)
