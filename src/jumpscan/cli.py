@@ -304,8 +304,8 @@ def _common_detect_flags(p):
                    help="analytic | bootstrap[:B] | fixed:C")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
-                   help="bootstrap threads / montecarlo processes "
-                   "(default: JUMPSCAN_THREADS or 1)")
+                   help="worker processes for the bootstrap and montecarlo; results "
+                   "are identical for any count (default: JUMPSCAN_THREADS or 1)")
 
 
 def build_parser():

@@ -117,7 +117,7 @@ def _valid_mask(n, h):
 
 
 # real values one transform takes or gives at most (float64, 1 MB): the
-# responses of one inverse transform, the kernels of one plan block
+# kernels of one plan block, or four times the responses of one bank block
 _BLOCK_VALUES = 1 << 17
 
 
@@ -179,10 +179,10 @@ def filter_bank(ymat: np.ndarray, scales, filt):
     sequence per row, ``ymat`` has that many rows or a single one, which
     then serves every sequence.  Each row is transformed once for all
     scales.  Responses come from one broadcast product and inverse
-    transform per block of scales, each block a fresh array of at most
-    ``_BLOCK_VALUES`` outputs (one scale when a single one exceeds it), so a
-    caller that reduces over scales holds one block at a time and an
-    earlier response stays valid.
+    transform per block of scales, each block a fresh array of at most a
+    quarter of ``_BLOCK_VALUES`` outputs (one scale when a single one
+    exceeds it), so a caller that reduces over scales holds one block at a
+    time and an earlier response stays valid.
     """
     m, n = ymat.shape
     rows = np.atleast_2d(np.asarray(scales, dtype=float))
@@ -192,7 +192,11 @@ def filter_bank(ymat: np.ndarray, scales, filt):
     plan = _bank_plan if len(rows) == 1 else _bank_plan.__wrapped__
     length, kernels = plan(n, tuple(map(tuple, rows.tolist())), filt)
     spec = rfft(ymat, length, axis=1)
-    block = max(1, _BLOCK_VALUES // (max(m, len(rows)) * length))
+    # a quarter: the block's product and responses, and the previous block's
+    # responses still read by the caller, stay below the 2 MB heap-trim
+    # threshold glibc sets on freeing a 1 MB plan block (full blocks: ~500
+    # minor faults and +40% per warm n = 5000 detection)
+    block = max(1, _BLOCK_VALUES // (4 * max(m, len(rows)) * length))
     for start in range(0, len(kernels), block):
         # the product is a temporary, so no block's product outlives its transform
         yield from irfft(spec * kernels[start : start + block], length, axis=-1)[:, :, :n]

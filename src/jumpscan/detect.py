@@ -247,11 +247,11 @@ def detect_pipeline(
     ``ValueError``.  Analytic and bootstrap thresholds are multiplied by
     the finite-sample denominator factor.  Refinement uses the half-window
     z = ``cfg.s_lower`` (rule of thumb) and ``ALPHA_TILDE``.
-    ``threads`` parallelizes the bootstrap null replicates and does not
-    change the result.  ``tuning.auto_detect`` with ``cfg`` and a level
-    gives the same result and returns the field it built.  A malformed
-    ``threshold_mode`` or an ``alpha`` outside (0, 0.5) raises
-    ``ValueError`` before any transform; ``alpha='auto'`` is
+    ``threads`` worker processes simulate the bootstrap null replicates,
+    and the result is the same for any count.  ``tuning.auto_detect`` with
+    ``cfg`` and a level gives the same result and returns the field it
+    built.  A malformed ``threshold_mode`` or an ``alpha`` outside (0, 0.5)
+    raises ``ValueError`` before any transform; ``alpha='auto'`` is
     ``tuning.auto_detect``'s.
     """
     _parse_threshold(threshold_mode)

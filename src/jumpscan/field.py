@@ -107,6 +107,8 @@ def _xi_band(hstar: np.ndarray, s_star: float, s_upper: float) -> np.ndarray:
     that range carry boundary-truncated filter windows: they would leak level
     shifts into the denominator, and under a large offset their size would
     cancel the band differences, so they stay out of the cumulative sum.
+    Squares past ~1e308 overflow silently: the inf or NaN entries they leave
+    fail the validity test of ``_field_batch``.
     """
     n = hstar.shape[1]
     a = int(math.ceil(n * s_star))
@@ -115,7 +117,8 @@ def _xi_band(hstar: np.ndarray, s_star: float, s_upper: float) -> np.ndarray:
         raise ValueError("empty denominator band: s_star too close to s_upper")
     hw = int(math.floor(n * s_star))
     inner = hstar[:, hw : n - hw]
-    return _windowed_mean(inner * inner, n, hw, ((a, b + 1), (-b, 1 - a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _windowed_mean(inner * inner, n, hw, ((a, b + 1), (-b, 1 - a)))
 
 
 def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
@@ -127,11 +130,12 @@ def _xi_smoothed(hstar: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     further moving average across time, one band radius wide on each side
     (the same windowed mean with one span), suppresses that sampling noise
     while still tracking the local noise level on the scale the band already
-    pools over.
+    pools over.  Overflow is handled as in ``_xi_band``.
     """
     raw = _xi_band(hstar, cfg.s_star, cfg.s_upper)
     half = max(1, int(math.floor(hstar.shape[1] * cfg.s_upper)))
-    return _windowed_mean(raw, raw.shape[-1], 0, ((-half, half + 1),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _windowed_mean(raw, raw.shape[-1], 0, ((-half, half + 1),))
 
 
 def _field_batch(ymat: np.ndarray, cfg, filt, arg=None):
@@ -166,7 +170,7 @@ def _field_batch(ymat: np.ndarray, cfg, filt, arg=None):
         grid = scale_grid(n, cfg)
         bank = filter_bank(ymat, [cfg.s_star, *grid], filt)
         # unnamed: the response views a whole bank block, which would then
-        # outlive Xi (+5 MB peak in a 128-row null chunk at n = 5000)
+        # outlive Xi (+5 MB peak in a 128-row batch at n = 5000)
         xi = _xi_smoothed(next(bank), cfg)
     else:
         cfgs = list(cfg)

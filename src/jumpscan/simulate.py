@@ -23,8 +23,6 @@ fields and one post-field pass over all its rows.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import time
 from dataclasses import dataclass
 
@@ -34,7 +32,7 @@ from .detect import _level, _parse_threshold, _resolve_threshold
 from .field import MIN_N, ScaleConfig, _multiscale_fields
 from .threshold import tail_constants
 from .tuning import _cv_grid, _detect_rows, auto_detect
-from .util import rng_for
+from .util import _chunks, _pool_chunks, rng_for
 
 __all__ = [
     "PlsScenario",
@@ -50,8 +48,6 @@ __all__ = [
 _MA_TRUNC = 40  # |coef| <= 0.4 => truncation error below 1e-15
 # pre-sample innovations each recursion runs through before t = 1/n
 _BURN_IN = 500
-# series values, burn-in included, that one chunk of Monte-Carlo replicates generates at most
-_CHUNK_VALUES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +431,6 @@ def _mad(estimates, truth):
     return float(np.mean([abs(a - b) for a, b in zip(est, tru)]))
 
 
-def _chunks(R: int, workers: int, row_values: int) -> list:
-    """Contiguous, near-equal ranges of replicates covering 0 .. R-1.
-
-    A multiple of ``workers`` of them (so each worker gets as many), each of
-    at most ``_CHUNK_VALUES // row_values`` replicates, and never more
-    ranges than replicates.
-    """
-    most = max(1, _CHUNK_VALUES // row_values)
-    count = min(R, workers * -(-R // (workers * most)))
-    bounds = [R * i // count for i in range(count + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def _mc_chunk(task):
     """A chunk of replicates as one batch.
 
@@ -486,70 +469,6 @@ def _mc_chunk(task):
     return rows
 
 
-def _pool_chunks(tasks, workers):
-    """Chunks on ``workers`` forked children, in order; None if none can be forked.
-
-    The chunks are split into ``workers`` contiguous shares, and each share
-    runs in a child forked for this call, which pickles ``("ok", chunks)``
-    or ``("error", exc)`` into its own pipe and leaves through ``os._exit``.
-    The calling process runs no chunk: it reads the pipes to end of file in
-    share order.  A child's exception is re-raised unchanged, and a child
-    that closes its pipe without a result raises ``RuntimeError``; neither
-    reruns anything serially.  Only a platform without ``os.fork``, or a
-    fork that raises ``OSError``, returns None, after killing the children
-    already started.  Every child is reaped before this returns or raises;
-    on any error path it is first sent SIGKILL.
-    """
-    if not hasattr(os, "fork"):
-        return None
-    children = []  # (pid, read end of its pipe)
-    done = False
-    try:
-        for i in range(workers):
-            share = tasks[len(tasks) * i // workers : len(tasks) * (i + 1) // workers]
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                return None
-            if pid == 0:
-                try:
-                    try:
-                        out = ("ok", [_mc_chunk(t) for t in share])
-                    except Exception as exc:
-                        out = ("error", exc)
-                    data = pickle.dumps(out)
-                    with open(w, "wb") as f:
-                        f.write(data)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, r))
-        chunks = []
-        for pid, r in children:
-            with open(r, "rb", closefd=False) as f:
-                data = f.read()
-            if not data:
-                raise RuntimeError(f"Monte-Carlo worker {pid} exited without a result")
-            status, value = pickle.loads(data)
-            if status == "error":
-                raise value
-            chunks.extend(value)
-        done = True
-        return chunks
-    finally:
-        if not done:
-            import signal  # only an error path needs it
-
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-        for pid, r in children:
-            os.close(r)
-            os.waitpid(pid, 0)
-
-
 def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0, threads: int = 1):
     """Replicate gen_series -> detection R times and score against truth.
 
@@ -559,20 +478,19 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
     independent streams derived from (seed, r), so results do not depend on
     the worker count or on how replicates are batched.
 
-    Replicates run in contiguous chunks (``_chunks``), one per worker and
-    none of more than ``_CHUNK_VALUES`` series values; each chunk generates
-    its series in one batch and, with fixed scales, builds their fields in
-    one batch (``_mc_chunk``).  With ``threads`` > 1 the chunks run in
-    ``min(threads, R)`` child processes forked for this call, each on a
-    contiguous share of the chunks, while the calling process only waits
-    (the replicate loop is small-array bound, which starves thread pools);
-    without ``os.fork`` they run serially.  An error in a replicate is
-    raised here unchanged and a worker that dies without a result raises
-    ``RuntimeError``; neither is rerun serially, and no worker outlives the
-    call.  ``mean_runtime`` and ``mean_gen_runtime`` are
-    the mean detection and generation times per replicate: each chunk's
-    times shared evenly by its replicates.  A malformed threshold mode or
-    level raises ``ValueError`` before any calibration or worker starts.
+    Replicates run in contiguous chunks of at most ``util._CHUNK_VALUES``
+    series values, burn-in included, one or more per worker; each chunk
+    generates its series in one batch and, with fixed scales, builds their
+    fields in one batch (``_mc_chunk``).  ``threads`` worker processes are
+    forked for this call (``util._pool_chunks``), while the calling process
+    only waits (the small-array replicate loop starves thread pools).  An
+    error in a replicate is raised here unchanged and a worker that dies
+    without a result raises ``RuntimeError``; neither is rerun serially,
+    and no worker outlives the call.  ``mean_runtime`` and
+    ``mean_gen_runtime`` are the mean detection and generation times per
+    replicate: each chunk's times shared evenly by its replicates.  A
+    malformed threshold mode or level raises ``ValueError`` before any
+    calibration or worker starts.
     """
     _parse_threshold(det.threshold_mode)
     alpha = _level(det.alpha)
@@ -590,18 +508,9 @@ def monte_carlo(sc: PlsScenario, det: DetectorSpec, R: int = 200, seed: int = 0,
         if alpha == "auto":
             _cv_grid(tail_constants(filt, cfg.s_lower, cfg.s_upper))
 
-    workers = min(threads, R)
-    tasks = [(sc, det, alpha, seed, reps) for reps in _chunks(R, workers, _BURN_IN + sc.n)]
-    chunks = _pool_chunks(tasks, workers) if workers > 1 else None
-    if chunks is None:
-        chunks = [_mc_chunk(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    counts = np.array([r[0] for r in rows])
-    hits = np.array([r[1] for r in rows])
-    mr = np.array([r[2] for r in rows])
-    mf = np.array([r[3] for r in rows])
-    times = np.array([r[4] for r in rows])
-    gen_times = np.array([r[5] for r in rows])
+    tasks = [(sc, det, alpha, seed, reps) for reps in _chunks(R, threads, _BURN_IN + sc.n)]
+    rows = [row for chunk in _pool_chunks(_mc_chunk, tasks, threads) for row in chunk]
+    counts, hits, mr, mf, times, gen_times = (np.array(col) for col in zip(*rows))
     got = ~np.isnan(mr)
     return {
         "hit_rate": float(np.mean(hits)),

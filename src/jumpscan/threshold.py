@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import ScaleConfig, _field_batch, _self_normalized
-from .util import rng_for
+from .util import _chunks, _pool_chunks, rng_for
 
 __all__ = [
     "TailConstants",
@@ -112,31 +112,24 @@ def _gauss_max_stats(n, cfg, filt, B, seed, threads=1):
     the self-normalized maximum over the valid mask of the statistic core
     (``field._field_batch``, as detection builds it), the
     deterministic-denominator maximum over the core [s_upper, 1 - s_upper],
-    and the deterministic maximum over every time point.  Rows are
-    simulated in chunks of 128 to bound memory, and the chunks are spread
-    over ``threads`` threads; row seeds and order do not depend on it.
-    Cached, so every quantile of one configuration comes from one
-    simulation.
+    and the deterministic maximum over every time point.  Row r is drawn
+    from ``rng_for(seed, r)``.  The rows run in chunks of at most
+    ``util._CHUNK_VALUES`` series values (``util._chunks``), on ``threads``
+    worker processes (``util._pool_chunks``); the results are identical for
+    any worker count.  Cached, so every quantile of one configuration comes
+    from one simulation.
     """
     b = int(math.floor(n * cfg.s_upper))
     root_u11 = math.sqrt(filt.moments().u11)
 
-    def chunk(start):
-        rows = range(start, min(start + 128, B))
+    def chunk(rows):
         ymat = np.vstack([rng_for(seed, r).standard_normal(n) for r in rows])
         _, hmax, xi, valid = _field_batch(ymat, cfg, filt)
         sn = np.max(_self_normalized(hmax, xi, valid, -np.inf), axis=1)
         fixed = np.max(hmax[:, b : n - b], axis=1) / root_u11
         return sn, fixed, np.max(hmax, axis=1) / root_u11
 
-    starts = range(0, B, 128)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # ~10 ms, so on demand
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(chunk, starts))
-    else:
-        chunks = [chunk(start) for start in starts]
+    chunks = _pool_chunks(chunk, _chunks(B, threads, n), threads)
     out = tuple(np.concatenate(parts) for parts in zip(*chunks))
     for arr in out:
         arr.flags.writeable = False
@@ -156,12 +149,16 @@ def bootstrap_cv(
 
     Each replicate draws an i.i.d. standard normal series, filters it over
     the sparse scale grid, and records the maximum of |H|/sqrt(u11) over
-    every time point; the (1 - alpha) order statistic is returned.
+    every time point; the (1 - alpha) order statistic is returned.  The
+    replicates run on ``threads`` worker processes (``_gauss_max_stats``),
+    and the value is identical for any worker count.
     """
     if not (0.0 < alpha < 0.5):
         raise ValueError("alpha must lie in (0, 0.5)")
     if B < 100:
         raise ValueError("B must be at least 100")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     _, _, full = _gauss_max_stats(n, cfg, filt, B, seed, threads)
     order = np.sort(full)
     return float(order[int(math.floor(B * (1.0 - alpha))) - 1])

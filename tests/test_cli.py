@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,23 @@ def test_detect_underflowing_series_exit_3(tmp_path, capsys):
     write_series(p, y)
     assert main(["detect", "--input", str(p), "--out", str(tmp_path)]) == 3
     assert "under- or overflow" in capsys.readouterr().err
+
+
+def test_detect_overflowing_series_exit_3_with_warnings_as_errors(tmp_path):
+    # squared filter responses overflow: exit 3 with the error, not 1 with a
+    # RuntimeWarning traceback, when warnings are errors
+    y, _ = jumpscan.simulate.gen_series(jumpscan.simulate.PlsScenario.make("II", "PLS", n=500))
+    p = tmp_path / "huge.csv"
+    write_series(p, 1e160 * y)
+    src = str(Path(jumpscan.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jumpscan.cli", "detect", "--input", str(p), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "under- or overflow" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_detect_bad_config_exit_3(step_csv, tmp_path, capsys):

@@ -187,7 +187,8 @@ def _block_budgets(m, n, cfg, filt):
     """Block budgets of one scale per inverse transform, three, and every scale."""
     scales = (cfg.s_star, *scale_grid(n, cfg))
     length, _ = _bank_plan(n, (tuple(float(s) for s in scales),), filt)
-    return [per * m * length for per in (1, 3, len(scales))]
+    # a bank block's responses take a quarter of the budget
+    return [4 * per * m * length for per in (1, 3, len(scales))]
 
 
 @pytest.mark.parametrize("filt", [W, BETA], ids=["wstar", "beta"])
@@ -214,11 +215,11 @@ def test_field_and_null_maxima_do_not_depend_on_the_block(filt, monkeypatch):
     n = 400
     y = np.random.default_rng(3).standard_normal(n) + (np.arange(n) >= n // 2)
     fields, stats = [], []
-    for one, chunk in zip(_block_budgets(1, n, CFG400, filt), _block_budgets(128, n, CFG400, filt)):
+    for one, chunk in zip(_block_budgets(1, n, CFG400, filt), _block_budgets(100, n, CFG400, filt)):
         monkeypatch.setattr(convolve, "_BLOCK_VALUES", one)
         f = multiscale_field(y, CFG400, filt)
         fields.append((f.hmax, f.arg, f.xi, f.g, f.valid))
-        # 200 null rows: one chunk of 128 and one of 72
+        # 200 null rows: two chunks of 100
         monkeypatch.setattr(convolve, "_BLOCK_VALUES", chunk)
         stats.append(_gauss_max_stats.__wrapped__(n, CFG400, filt, 200, 5))
     for f, s in zip(fields[1:], stats[1:]):

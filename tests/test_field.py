@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_band_and_moving_average_match_gathers_bitwise(n, shift, amp):
 
 
 def test_windowed_mean_matches_gathers_on_a_null_chunk():
-    # 128 rows: the shape of one chunk of the null simulation
+    # 128 rows at n = 2000: a batch wider than any chunk of the null simulation
     assert_windowed_means_match_gathers(np.random.default_rng(128).standard_normal((128, 2000)))
 
 
@@ -187,6 +188,23 @@ def test_constant_input_raises(level):
     # an all-invalid statistic that reads as "no jumps"
     with pytest.raises(ValueError, match="no valid point"):
         multiscale_field(np.full(500, level), CFG500, W)
+
+
+@pytest.mark.parametrize("kind", ["scaled", "spike"])
+def test_overflowing_input_raises_without_a_warning(kind):
+    # squared responses beyond ~1e308 overflow: the field fails with its
+    # ValueError, and no RuntimeWarning comes first
+    from jumpscan.simulate import PlsScenario, gen_series
+
+    y, _ = gen_series(PlsScenario.make("II", "PLS", n=500, seed=0))
+    if kind == "scaled":
+        y = 1e160 * y
+    else:
+        y[250] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no valid point.*under- or overflow"):
+            multiscale_field(y, CFG500, W)
 
 
 def test_row_batched_fields_match_one_row_fields_bitwise():

@@ -1,13 +1,12 @@
-import contextlib
 import math
 import os
-import signal
 import time
 
 import numpy as np
 import pytest
 
-from jumpscan import simulate
+from forking import _assert_reaped, _deadline, _record_forks
+from jumpscan import simulate, util
 from jumpscan.detect import detect_pipeline
 from jumpscan.field import MIN_N, ScaleConfig
 from jumpscan.filters import builtin_wstar
@@ -20,7 +19,6 @@ from jumpscan.simulate import (
     increasing_jump_count,
     increasing_jump_size,
     monte_carlo,
-    _chunks,
     _innovations,
     _BURN_IN,
     _lag_sum,
@@ -31,7 +29,7 @@ from jumpscan.simulate import (
 )
 from jumpscan.threshold import tail_constants
 from jumpscan.tuning import _cv_grid, auto_detect
-from jumpscan.util import rng_for
+from jumpscan.util import _chunks, rng_for
 
 
 # Lag-by-lag, one-generator forms of the two expansions, kept as oracles:
@@ -308,7 +306,7 @@ def test_monte_carlo_metrics_and_determinism(monkeypatch):
     # R = 50 on 1, 2 and 3 workers: one chunk, two even ones, three uneven ones
     m1, *rest = [monte_carlo(sc, det, R=50, seed=9, threads=k) for k in (1, 2, 3)]
     # and six chunks of 8-9 replicates, two to each of 3 workers
-    monkeypatch.setattr(simulate, "_CHUNK_VALUES", 10_000)
+    monkeypatch.setattr(util, "_CHUNK_VALUES", 10_000)
     rest.append(monte_carlo(sc, det, R=50, seed=9, threads=3))
     for m2 in rest:
         _assert_same_replicates(m1, m2)
@@ -338,7 +336,7 @@ def test_monte_carlo_warms_the_level_grid_before_forking():
 
 
 def test_chunks_cover_replicates_in_near_equal_ranges(monkeypatch):
-    monkeypatch.setattr(simulate, "_CHUNK_VALUES", 10_000)
+    monkeypatch.setattr(util, "_CHUNK_VALUES", 10_000)
     for R, workers, row_values in [(50, 1, 1000), (50, 3, 1000), (100, 2, 1000),
                                    (400, 2, 5500), (50, 4, 100_500), (50, 50, 1000)]:
         chunks = _chunks(R, workers, row_values)
@@ -390,54 +388,19 @@ def test_monte_carlo_rejects_bad_arguments_before_any_work(monkeypatch, cfg, bad
 def test_monte_carlo_pool_capped_at_replicates(monkeypatch):
     asked = []
 
-    def serial_pool(tasks, workers):
+    def serial_pool(fn, tasks, workers):
         # records the workers and the replicates per chunk asked for, starts no process
         asked.append((workers, [len(task[-1]) for task in tasks]))
-        return [_mc_chunk(task) for task in tasks]
+        return [fn(task) for task in tasks]
 
     monkeypatch.setattr(simulate, "_pool_chunks", serial_pool)
     det = DetectorSpec(cfg=ScaleConfig(0.061, 0.167, 0.03), alpha=0.05, threshold_mode="fixed:4.0")
     sc = PlsScenario.make("I", "GS", n=500)
     m = monte_carlo(sc, det, R=50, seed=1, threads=500)
-    # 50 workers, one chunk of one replicate each
-    assert asked == [(50, [1] * 50)]
+    # one chunk of one replicate each; the pool forks one worker per chunk at most
+    # (tests/test_util.py)
+    assert asked == [(500, [1] * 50)]
     assert m["counts"] == monte_carlo(sc, det, R=50, seed=1)["counts"]
-
-
-def _record_forks(monkeypatch):
-    """Pids of the children forked while the test runs."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def _assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    # a blocked read in the caller fails the test instead of hanging it
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.parametrize("s_star, threads", [(0.03, 3), (0.003, 2)], ids=["returns", "raises"])

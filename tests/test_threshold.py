@@ -1,9 +1,13 @@
+import math
+import os
 import time
 
 import numpy as np
 import pytest
 
-from jumpscan.field import ScaleConfig
+from forking import _assert_reaped, _deadline, _record_forks
+from jumpscan import threshold, util
+from jumpscan.field import ScaleConfig, _field_batch, _self_normalized
 from jumpscan.filters import builtin_wstar
 from jumpscan.threshold import (
     _fs_ratio_curve,
@@ -14,6 +18,7 @@ from jumpscan.threshold import (
     fs_correction,
     tail_constants,
 )
+from jumpscan.util import rng_for
 
 W = builtin_wstar()
 
@@ -114,13 +119,69 @@ def test_bootstrap_thread_invariance():
 
 
 def test_null_maxima_thread_count_invariance():
-    # B = 300 spans three 128-row chunks, mapped over threads
+    # B = 300 at n = 300: two chunks on one worker, one on each of three
     cfg = ScaleConfig(0.061, 0.167, 0.03)
     one = _gauss_max_stats(300, cfg, W, 300, 9, threads=1)
     many = _gauss_max_stats(300, cfg, W, 300, 9, threads=3)
     for a, b in zip(one, many):
         assert a.shape == (300,)
         assert np.array_equal(a, b)
+
+
+def _null_maxima_in_128_row_chunks(n, cfg, filt, B, seed):
+    """The null simulation as it ran before its chunks had a values budget, kept as an oracle."""
+    b = int(math.floor(n * cfg.s_upper))
+    root_u11 = math.sqrt(filt.moments().u11)
+    parts = []
+    for start in range(0, B, 128):
+        rows = range(start, min(start + 128, B))
+        ymat = np.vstack([rng_for(seed, r).standard_normal(n) for r in rows])
+        _, hmax, xi, valid = _field_batch(ymat, cfg, filt)
+        sn = np.max(_self_normalized(hmax, xi, valid, -np.inf), axis=1)
+        fixed = np.max(hmax[:, b : n - b], axis=1) / root_u11
+        parts.append((sn, fixed, np.max(hmax, axis=1) / root_u11))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+@pytest.mark.parametrize("n, B", [(300, 300), (2000, 200)])
+def test_null_maxima_equal_the_128_row_loop(n, B, monkeypatch):
+    # chunks of at most _CHUNK_VALUES values on 1, 2 and 3 workers, then one row per chunk
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    oracle = _null_maxima_in_128_row_chunks(n, cfg, W, B, 7)
+    runs = [_gauss_max_stats.__wrapped__(n, cfg, W, B, 7, threads) for threads in (1, 2, 3)]
+    monkeypatch.setattr(util, "_CHUNK_VALUES", 1)
+    runs += [_gauss_max_stats.__wrapped__(n, cfg, W, B, 7, threads) for threads in (1, 3)]
+    for run in runs:
+        assert len(run) == 3
+        for a, b in zip(oracle, run):
+            assert a.shape == (B,)
+            assert np.array_equal(a, b)
+
+
+def test_null_chunk_error_in_a_worker_is_raised_here(monkeypatch):
+    caller = os.getpid()
+    ran_in_caller = []
+
+    def failing_batch(ymat, cfg, filt):
+        if os.getpid() == caller:
+            ran_in_caller.append(len(ymat))
+        raise FloatingPointError(f"null chunk of {len(ymat)} rows")
+
+    monkeypatch.setattr(threshold, "_field_batch", failing_batch)
+    pids = _record_forks(monkeypatch)
+    cfg = ScaleConfig(0.061, 0.167, 0.03)
+    with _deadline(60), pytest.raises(FloatingPointError, match="^null chunk of 100 rows$"):
+        # two chunks of 100 rows at n = 500, one on each worker
+        _gauss_max_stats.__wrapped__(500, cfg, W, 200, 3, 2)
+    assert ran_in_caller == []
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_null_maxima_on_one_worker_fork_nothing(monkeypatch):
+    pids = _record_forks(monkeypatch)
+    _gauss_max_stats.__wrapped__(500, ScaleConfig(0.061, 0.167, 0.03), W, 300, 3, 1)
+    assert pids == []
 
 
 def test_null_simulation_runs_once_per_configuration():
@@ -137,6 +198,12 @@ def test_null_simulation_runs_once_per_configuration():
 def test_bootstrap_requires_min_replicates():
     with pytest.raises(ValueError):
         bootstrap_cv(0.05, 300, ScaleConfig(0.061, 0.167, 0.03), W, B=50)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_bootstrap_requires_a_worker(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        bootstrap_cv(0.05, 300, ScaleConfig(0.061, 0.167, 0.03), W, B=200, threads=threads)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 1.0])
