@@ -124,19 +124,28 @@ def _parse_scenario(text, n, seed):
         raise CliError(f"bad scenario {text!r}: {exc}", EXIT_BAD_CONFIG) from exc
 
 
+def _scale_pair(args):
+    """(``--s-lower``, ``--s-upper``), or None when neither is given; one alone is an error."""
+    if args.s_lower is None and args.s_upper is None:
+        return None
+    if args.s_lower is None or args.s_upper is None:
+        raise CliError("provide both --s-lower and --s-upper (or neither)", EXIT_BAD_CONFIG)
+    return args.s_lower, args.s_upper
+
+
 def _scales_from(args, y, filt):
-    explicit = args.s_lower is not None or args.s_upper is not None
-    if explicit:
-        if args.s_lower is None or args.s_upper is None:
-            raise CliError("provide both --s-lower and --s-upper (or neither)", EXIT_BAD_CONFIG)
-        try:
-            s_star = args.s_star
-            if s_star is None:
-                s_star = select_s_star(y, args.s_lower, args.s_upper, filt).chosen
-            return ScaleConfig(args.s_lower, args.s_upper, s_star, args.grid_eps)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
-    return None  # auto
+    pair = _scale_pair(args)
+    if pair is None:
+        if args.s_star is not None:
+            raise CliError("--s-star needs --s-lower and --s-upper", EXIT_BAD_CONFIG)
+        return None  # auto
+    try:
+        s_star = args.s_star
+        if s_star is None:
+            s_star = select_s_star(y, *pair, filt).chosen
+        return ScaleConfig(*pair, s_star, args.grid_eps)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_CONFIG) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +270,7 @@ def cmd_montecarlo(args) -> int:
     filt = _filter_from(args)
     alpha = _alpha(args.alpha)
     sc = _parse_scenario(args.scenario, args.n, args.seed)
-    if args.s_lower is None or args.s_upper is None:
-        row = min(LADDER, key=lambda r: abs(r[0] - args.n))
-        sl, su = row[1], row[2]
-    else:
-        sl, su = args.s_lower, args.s_upper
+    sl, su = _scale_pair(args) or min(LADDER, key=lambda r: abs(r[0] - args.n))[1:]
     try:
         s_star = args.s_star
         if s_star is None:
@@ -301,7 +306,7 @@ def _common_detect_flags(p):
     p.add_argument("--grid-eps", type=float, default=0.5)
     p.add_argument("--filter", default=None, help="JSON filter file (default: built-in)")
     p.add_argument("--threshold", default="analytic",
-                   help="analytic | bootstrap[:B] | fixed:C")
+                   help="analytic | bootstrap[:B] | fixed:C (C > 0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes for the bootstrap and montecarlo; results "

@@ -179,7 +179,8 @@ def cusum_refine(y, raw: list, z: float) -> list:
 def _parse_threshold(mode: str):
     """Read ``analytic | bootstrap[:B] | fixed:C`` as (kind, B or C or None).
 
-    Anything else raises ``ValueError``.
+    C must exceed 0 (``inf`` is allowed): G is never negative, so C <= 0
+    would flag every admissible peak.  Anything else raises ``ValueError``.
     """
     kind, sep, arg = mode.partition(":")
     try:
@@ -187,12 +188,12 @@ def _parse_threshold(mode: str):
             return kind, None
         if kind == "bootstrap":
             return kind, int(arg) if sep else 2000
-        if kind == "fixed" and not math.isnan(float(arg)):
+        if kind == "fixed" and float(arg) > 0:
             return kind, float(arg)
     except ValueError:
         pass
     raise ValueError(
-        f"bad threshold mode {mode!r}: expected analytic, bootstrap[:B] or fixed:C"
+        f"bad threshold mode {mode!r}: expected analytic, bootstrap[:B] or fixed:C with C > 0"
     )
 
 

@@ -170,7 +170,7 @@ def _field_batch(ymat: np.ndarray, cfg, filt, arg=None):
         grid = scale_grid(n, cfg)
         bank = filter_bank(ymat, [cfg.s_star, *grid], filt)
         # unnamed: the response views a whole bank block, which would then
-        # outlive Xi (+5 MB peak in a 128-row batch at n = 5000)
+        # outlive Xi (traced peak 3.2 -> 3.7 MB in a 13-row null chunk at n = 5000)
         xi = _xi_smoothed(next(bank), cfg)
     else:
         cfgs = list(cfg)

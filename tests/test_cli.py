@@ -194,7 +194,10 @@ def test_detect_bad_config_exit_3(step_csv, tmp_path, capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("mode", ["fixed", "fixed:", "fixedfoo:3", "analytic:1", "bootstrap:abc"])
+@pytest.mark.parametrize(
+    "mode",
+    ["fixed", "fixed:", "fixedfoo:3", "fixed:0", "fixed:-1", "fixed:-inf", "analytic:1", "bootstrap:abc"],
+)
 def test_detect_malformed_threshold_exit_3(mode, step_csv, tmp_path, capsys):
     # automatic scales: the mode is checked before the scale sweep
     assert main(["detect", "--input", str(step_csv), "--out", str(tmp_path), "--threshold", mode]) == 3
@@ -277,8 +280,13 @@ def test_simulate_writes_series_and_truth(tmp_path, capsys):
         ["montecarlo", "--alpha", "0.7"],
         ["montecarlo", "--alpha", "abc"],
         ["montecarlo", "--s-lower", "0.3", "--s-upper", "0.2"],
+        ["detect", "--s-star", "0.02"],
+        ["montecarlo", "--s-lower", "0.05"],
     ],
-    ids=["detect-alpha-abc", "mc-alpha-0.7", "mc-alpha-abc", "mc-scales-inverted"],
+    ids=[
+        "detect-alpha-abc", "mc-alpha-0.7", "mc-alpha-abc", "mc-scales-inverted",
+        "detect-s-star-without-scales", "mc-s-lower-alone",
+    ],
 )
 def test_bad_level_or_scales_exit_3(argv, step_csv, tmp_path, capsys):
     where = ["--input", str(step_csv)] if argv[0] == "detect" else ["--scenario", "I:GS", "--reps", "50"]

@@ -339,7 +339,11 @@ def test_pipeline_unknown_mode():
 
 
 @pytest.mark.parametrize(
-    "mode", ["fixed", "fixed:", "fixedfoo:3", "fixed:nan", "analytic:1", "bootstrap:", "bootstrap:abc"]
+    "mode",
+    [
+        "fixed", "fixed:", "fixedfoo:3", "fixed:nan", "fixed:0", "fixed:-1", "fixed:-inf",
+        "analytic:1", "bootstrap:", "bootstrap:abc",
+    ],
 )
 def test_malformed_threshold_mode_raises(mode):
     with pytest.raises(ValueError, match="threshold mode"):
